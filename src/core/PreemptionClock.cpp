@@ -42,22 +42,98 @@ void PreemptionClock::setPreemptionEnabled(bool NewEnabled) {
   TimerCv.notify_all();
 }
 
-void PreemptionClock::scheduleResume(ThreadRef T, std::uint64_t DelayNanos) {
-  {
-    std::lock_guard<std::mutex> Guard(TimerLock);
-    Timers.push(Timer{nowNanos() + DelayNanos, std::move(T)});
-  }
-  TimerCv.notify_all();
+//===----------------------------------------------------------------------===//
+// Timer heap
+//===----------------------------------------------------------------------===//
+
+void PreemptionClock::placeTimer(std::size_t I, Timer T) {
+  if (T.Owner)
+    T.Owner->TimeoutIndex.store(I, std::memory_order_relaxed);
+  Timers[I] = std::move(T);
 }
 
-void PreemptionClock::scheduleTimeout(ThreadRef T,
-                                      std::uint64_t DeadlineNanos) {
-  {
-    std::lock_guard<std::mutex> Guard(TimerLock);
-    Timers.push(
-        Timer{DeadlineNanos, std::move(T), Timer::Kind::KernelTimeout});
+void PreemptionClock::siftUp(std::size_t I) {
+  Timer T = std::move(Timers[I]);
+  while (I != 0) {
+    std::size_t Parent = (I - 1) / 2;
+    if (Timers[Parent].DeadlineNanos <= T.DeadlineNanos)
+      break;
+    placeTimer(I, std::move(Timers[Parent]));
+    I = Parent;
   }
-  TimerCv.notify_all();
+  placeTimer(I, std::move(T));
+}
+
+void PreemptionClock::siftDown(std::size_t I) {
+  Timer T = std::move(Timers[I]);
+  for (;;) {
+    std::size_t Child = 2 * I + 1;
+    if (Child >= Timers.size())
+      break;
+    if (Child + 1 < Timers.size() &&
+        Timers[Child + 1].DeadlineNanos < Timers[Child].DeadlineNanos)
+      ++Child;
+    if (T.DeadlineNanos <= Timers[Child].DeadlineNanos)
+      break;
+    placeTimer(I, std::move(Timers[Child]));
+    I = Child;
+  }
+  placeTimer(I, std::move(T));
+}
+
+PreemptionClock::Timer PreemptionClock::removeTimerAt(std::size_t I) {
+  Timer Removed = std::move(Timers[I]);
+  if (Removed.Owner)
+    Removed.Owner->TimeoutIndex.store(Tcb::NoTimeout,
+                                      std::memory_order_relaxed);
+  Timer Last = std::move(Timers.back());
+  Timers.pop_back();
+  if (I != Timers.size()) {
+    Timers[I] = std::move(Last);
+    siftUp(I);
+    siftDown(I);
+  }
+  return Removed;
+}
+
+void PreemptionClock::pushTimer(Timer T) {
+  const bool Earlier = T.DeadlineNanos < NextWakeNanos;
+  Timers.push_back(std::move(T));
+  siftUp(Timers.size() - 1);
+  if (!Earlier)
+    return;
+  // The clock thread sleeps past this deadline: cut its wait short. A
+  // later deadline needs no wake — the clock re-reads the heap under
+  // TimerLock before every wait.
+  NextWakeNanos = Timers.front().DeadlineNanos;
+  TimerCv.notify_one();
+}
+
+void PreemptionClock::scheduleResume(ThreadRef T, std::uint64_t DelayNanos) {
+  std::lock_guard<std::mutex> Guard(TimerLock);
+  pushTimer(Timer{nowNanos() + DelayNanos, std::move(T)});
+}
+
+void PreemptionClock::scheduleTimeout(Tcb &C, std::uint64_t DeadlineNanos) {
+  Timer Replaced;
+  std::lock_guard<std::mutex> Guard(TimerLock);
+  if (std::size_t I = C.TimeoutIndex.load(std::memory_order_relaxed);
+      I != Tcb::NoTimeout)
+    Replaced = removeTimerAt(I);
+  pushTimer(Timer{DeadlineNanos, ThreadRef(C.thread()), &C});
+}
+
+void PreemptionClock::cancelTimeout(Tcb &C) {
+  // Only the owner arms, so a NoTimeout read here cannot be overtaken by
+  // a concurrent arm; any other value is re-checked under the lock (the
+  // clock may have fired the timer since).
+  if (C.TimeoutIndex.load(std::memory_order_relaxed) == Tcb::NoTimeout)
+    return;
+  Timer Removed; // its ThreadRef drops after the lock
+  std::lock_guard<std::mutex> Guard(TimerLock);
+  if (std::size_t I = C.TimeoutIndex.load(std::memory_order_relaxed);
+      I != Tcb::NoTimeout)
+    Removed = removeTimerAt(I);
 }
 
 std::size_t PreemptionClock::pendingTimers() const {
@@ -82,20 +158,14 @@ void PreemptionClock::fireDueTimers(std::uint64_t Now) {
   std::vector<Timer> Due;
   {
     std::lock_guard<std::mutex> Guard(TimerLock);
-    while (!Timers.empty() && Timers.top().DeadlineNanos <= Now) {
-      Due.push_back(Timers.top());
-      Timers.pop();
-    }
+    while (!Timers.empty() && Timers.front().DeadlineNanos <= Now)
+      Due.push_back(removeTimerAt(0));
   }
   for (const Timer &T : Due) {
-    switch (T.What) {
-    case Timer::Kind::Resume:
-      ThreadController::threadRun(*T.Target);
-      break;
-    case Timer::Kind::KernelTimeout:
+    if (T.Owner)
       ThreadController::deliverTimeout(*T.Target, T.DeadlineNanos);
-      break;
-    }
+    else
+      ThreadController::threadRun(*T.Target);
   }
 }
 
@@ -109,15 +179,16 @@ void PreemptionClock::run() {
     std::uint64_t WaitNanos = TickNanos;
     {
       std::unique_lock<std::mutex> Lock(TimerLock);
+      const std::uint64_t Later = nowNanos();
       if (!Timers.empty()) {
-        std::uint64_t Next = Timers.top().DeadlineNanos;
-        std::uint64_t Later = nowNanos();
+        std::uint64_t Next = Timers.front().DeadlineNanos;
         std::uint64_t UntilTimer = Next > Later ? Next - Later : 1;
         if (UntilTimer < WaitNanos)
           WaitNanos = UntilTimer;
       }
       if (Stopping.load(std::memory_order_relaxed))
         break;
+      NextWakeNanos = Later + WaitNanos;
       TimerCv.wait_for(Lock, std::chrono::nanoseconds(WaitNanos));
     }
   }

@@ -26,12 +26,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace sting {
 
+class Tcb;
 class VirtualMachine;
 
 /// The per-machine watchdog thread.
@@ -55,16 +55,20 @@ public:
   /// is still suspended at that point.
   void scheduleResume(ThreadRef T, std::uint64_t DelayNanos);
 
-  /// Arms a timed-park timeout: at the absolute monotonic time
-  /// \p DeadlineNanos, wakes \p T's TCB if it is still in a timed park
-  /// with that exact deadline (ThreadController::deliverTimeout).
-  /// parkCurrent arms at most one timer per (TCB, deadline): re-parks of
-  /// the same wait reuse the queued timer.
-  void scheduleTimeout(ThreadRef T, std::uint64_t DeadlineNanos);
+  /// Arms \p C's park timeout: at the absolute monotonic time
+  /// \p DeadlineNanos, wakes the thread bound to \p C if it is still in a
+  /// timed park with that exact deadline (ThreadController::deliverTimeout).
+  /// A TCB has at most one queued timeout; arming replaces any left over.
+  void scheduleTimeout(Tcb &C, std::uint64_t DeadlineNanos);
 
-  /// Number of timers currently armed (resumes + park timeouts); a
-  /// heartbeat input for the stall watchdog — a machine with live threads,
-  /// no ready work and no pending timers is wedged.
+  /// Removes \p C's queued park timeout, if any. Lock-free when none is
+  /// queued (the common case for a park that timed out).
+  void cancelTimeout(Tcb &C);
+
+  /// Number of timers currently armed (resumes + park timeouts of parks
+  /// still in progress); a heartbeat input for the stall watchdog — a
+  /// machine with live threads, no ready work and no pending timers is
+  /// wedged.
   std::size_t pendingTimers() const;
 
   /// Number of preempt flags raised so far (for tests/benches).
@@ -80,17 +84,20 @@ private:
   void raisePreemptFlags(std::uint64_t Now);
 
   struct Timer {
-    enum class Kind : std::uint8_t {
-      Resume,        ///< threadRun the target (suspend quantum elapsed)
-      KernelTimeout, ///< deliverTimeout to the target's parked TCB
-    };
-    std::uint64_t DeadlineNanos;
+    std::uint64_t DeadlineNanos = 0;
     ThreadRef Target;
-    Kind What = Kind::Resume;
-    bool operator>(const Timer &RHS) const {
-      return DeadlineNanos > RHS.DeadlineNanos;
-    }
+    /// Null for a resume (threadRun the target when a suspend quantum
+    /// elapses); otherwise the parked TCB a park timeout is delivered to,
+    /// which tracks this timer's heap index.
+    Tcb *Owner = nullptr;
   };
+
+  // Indexed binary min-heap on DeadlineNanos; TimerLock held.
+  void pushTimer(Timer T);
+  Timer removeTimerAt(std::size_t I);
+  void placeTimer(std::size_t I, Timer T);
+  void siftUp(std::size_t I);
+  void siftDown(std::size_t I);
 
   VirtualMachine *Vm;
   std::uint64_t TickNanos;
@@ -100,7 +107,10 @@ private:
 
   mutable std::mutex TimerLock;
   std::condition_variable TimerCv;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> Timers;
+  std::vector<Timer> Timers;
+  /// When the clock thread's current wait ends; an arm notifies it only
+  /// for an earlier deadline. Guarded by TimerLock.
+  std::uint64_t NextWakeNanos = 0;
 
   std::thread Os;
 };

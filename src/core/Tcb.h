@@ -150,11 +150,12 @@ public:
   /// Absolute deadline (monotonic nanos) of the current park; 0 while the
   /// park is untimed — including every user park. Written by the owner at
   /// each park entry, read by the machine clock: deliverTimeout drops a
-  /// timer unless it matches, so a stale timer cannot wake a park with a
-  /// different deadline, and timer delivery is additionally kernel-only
-  /// (UnparkClass::KernelOnly), so it can never resume a user park
-  /// (thread-suspend) early — at worst it produces a spurious return in a
-  /// kernel park, which every kernel park site tolerates.
+  /// timer unless it matches, so a timer fired just as its park ended
+  /// cannot wake a park with a different deadline, and timer delivery is
+  /// additionally kernel-only (UnparkClass::KernelOnly), so it can never
+  /// resume a user park (thread-suspend) early — at worst it produces a
+  /// spurious return in a kernel park, which every kernel park site
+  /// tolerates.
   std::atomic<std::uint64_t> TimedParkDeadline{0};
 
   // --- Barrier bookkeeping (paper section 4.3) --------------------------
@@ -173,6 +174,7 @@ public:
   gc::LocalHeap &ensureHeap();
 
 private:
+  friend class PreemptionClock;
   friend class Thread;
   friend class ThreadController;
   friend class VirtualProcessor;
@@ -205,11 +207,13 @@ private:
   std::uint64_t SliceStartNanos = 0;
   std::uint64_t QuantumNanos = 0;
 
-  /// Deadline of the most recently armed park-timeout timer (owner thread
-  /// only). parkCurrent skips re-arming when the deadline is unchanged, so
-  /// a re-park loop (spurious wakes, group re-checks) holds one clock
-  /// timer for its whole wait instead of one per pass.
-  std::uint64_t ArmedTimeoutDeadline = 0;
+  static constexpr std::size_t NoTimeout = ~std::size_t(0);
+
+  /// Heap index of this TCB's queued park timeout in the machine clock,
+  /// or NoTimeout. Written only under the clock's TimerLock; a timed park
+  /// arms it on entry and cancels it on return, so a TCB never holds more
+  /// than one and a satisfied wait leaves none behind.
+  std::atomic<std::size_t> TimeoutIndex{NoTimeout};
 
   /// Depth of stolen thunks currently running on this TCB (section 4.1.1).
   int StealDepth = 0;

@@ -200,16 +200,10 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
   }
 
   // Arm the timeout only once the park is committed; the timer races the
-  // switch-out harmlessly (unparkImpl handles the Parking window). A
-  // re-park with an unchanged deadline (spurious wake, group re-check)
-  // reuses the timer already queued for it — the timer validates against
-  // TimedParkDeadline, not a park generation, so one timer serves every
-  // pass of the wait and the clock's queue stays bounded.
-  if (DeadlineNanos != 0 && C.ArmedTimeoutDeadline != DeadlineNanos) {
-    C.ArmedTimeoutDeadline = DeadlineNanos;
-    C.vp()->vm().clock().scheduleTimeout(ThreadRef(C.thread()),
-                                         DeadlineNanos);
-  }
+  // switch-out harmlessly (unparkImpl handles the Parking window).
+  PreemptionClock &Clock = C.vp()->vm().clock();
+  if (DeadlineNanos != 0)
+    Clock.scheduleTimeout(C, DeadlineNanos);
 
   VirtualProcessor &Vp = *C.vp();
   Vp.Action = SchedAction::Park;
@@ -219,7 +213,11 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
   switchContext(C.Ctx, Vp.SchedCtx);
 
   // Resumed — possibly on a different VP (C.Vp was updated by the
-  // dispatching scheduler before switching back in).
+  // dispatching scheduler before switching back in). A park woken before
+  // its deadline drops its timer now, so the clock holds timers only for
+  // waits still in progress.
+  if (DeadlineNanos != 0)
+    Clock.cancelTimeout(C);
   C.ParkKind = ParkClass::None;
   C.BlockedOn = nullptr;
   applyRequests(C);

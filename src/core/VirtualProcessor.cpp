@@ -330,6 +330,9 @@ Tcb &VirtualProcessor::acquireTcb() {
 void VirtualProcessor::recycleTcb(Tcb &C) {
   STING_DCHECK(C.thread() && C.thread()->isDetermined(),
                "recycling a TCB whose thread is not determined");
+  // Parks cancel their own timers; drop any left by an unwind path before
+  // the clock can outlive the TCB's binding.
+  Vm->clock().cancelTimeout(C);
   C.Current.reset();
   C.Active = nullptr;
   C.Requests.store(0, std::memory_order_relaxed);
@@ -341,7 +344,6 @@ void VirtualProcessor::recycleTcb(Tcb &C) {
   C.PendingUserWake.store(false, std::memory_order_relaxed);
   C.PendingKernelWake.store(false, std::memory_order_relaxed);
   C.TimedParkDeadline.store(0, std::memory_order_relaxed);
-  C.ArmedTimeoutDeadline = 0;
   C.DeferredPreempt = false;
   C.PreemptDisableDepth = 0;
   C.StealDepth = 0;

@@ -112,16 +112,24 @@ Value GlobalHeap::makeBoxShared(Value V) {
 }
 
 Value GlobalHeap::intern(std::string_view Name) {
+  std::atomic<Object *> &Cached =
+      SymbolCache[std::hash<std::string_view>()(Name) % SymbolCache.size()];
+  if (Object *O = Cached.load(std::memory_order_acquire);
+      O && O->byteLength() == Name.size() &&
+      std::memcmp(O->bytes(), Name.data(), Name.size()) == 0)
+    return Value::object(O);
+
   std::lock_guard<SpinLock> Guard(Lock);
   auto It = Symbols.find(std::string(Name));
-  if (It != Symbols.end())
-    return Value::object(It->second);
-
-  const auto Words = static_cast<std::uint32_t>((Name.size() + 7) / 8);
-  Object *O = allocateLocked(ObjectKind::Symbol, Words);
-  O->setByteLength(Name.size());
-  std::memcpy(O->bytes(), Name.data(), Name.size());
-  Symbols.emplace(std::string(Name), O);
+  Object *O = It != Symbols.end() ? It->second : nullptr;
+  if (!O) {
+    const auto Words = static_cast<std::uint32_t>((Name.size() + 7) / 8);
+    O = allocateLocked(ObjectKind::Symbol, Words);
+    O->setByteLength(Name.size());
+    std::memcpy(O->bytes(), Name.data(), Name.size());
+    Symbols.emplace(std::string(Name), O);
+  }
+  Cached.store(O, std::memory_order_release);
   return Value::object(O);
 }
 
@@ -142,6 +150,16 @@ void GlobalHeap::removeRoot(Value *Slot) {
     Roots.erase(It);
     return;
   }
+}
+
+void GlobalHeap::addRootSource(RootSource *Source) {
+  std::lock_guard<SpinLock> Guard(Lock);
+  RootSources.push_back(Source);
+}
+
+void GlobalHeap::removeRootSource(RootSource *Source) {
+  std::lock_guard<SpinLock> Guard(Lock);
+  std::erase(RootSources, Source);
 }
 
 bool GlobalHeap::contains(const void *P) const {
@@ -180,6 +198,8 @@ void GlobalHeap::collectFull(const std::vector<LocalHeap *> &Mutators) {
   std::vector<Object *> Gray;
   for (Value *Slot : Roots)
     markValue(*Slot, Gray);
+  for (RootSource *Source : RootSources)
+    Source->markRoots([&](Value V) { markValue(V, Gray); });
   for (auto &[Name, Sym] : Symbols) {
     if (!Sym->isMarked()) {
       Sym->setMarked(true);

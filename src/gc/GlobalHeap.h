@@ -21,7 +21,10 @@
 #include "support/Histogram.h"
 #include "support/SpinLock.h"
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,6 +45,20 @@ struct GlobalHeapStats {
   std::uint64_t LiveBytesAfterLastGc = 0;
   /// Stop-the-world duration of each full collection, in ns.
   Histogram PauseNanos;
+};
+
+/// A runtime structure that stores old-generation values outside the heap
+/// and reports them to full collections itself, instead of registering a
+/// root slot per stored value (tuple-space storage; DESIGN.md, `src/gc`).
+class RootSource {
+public:
+  /// Calls \p Mark on every value the source currently keeps alive. Runs
+  /// inside collectFull, under the heap lock and with mutators quiescent;
+  /// it must not call back into the heap.
+  virtual void markRoots(const std::function<void(Value)> &Mark) = 0;
+
+protected:
+  ~RootSource() = default;
 };
 
 /// The shared older generation of one virtual machine.
@@ -65,7 +82,9 @@ public:
   Value makeBoxShared(Value V);
 
   /// Interns \p Name, returning the unique symbol object. Symbols are
-  /// permanent (treated as roots by full collections).
+  /// permanent (treated as roots by full collections), so a name already
+  /// interned is usually answered from a lock-free front cache; a miss
+  /// falls back to the locked table.
   Value intern(std::string_view Name);
 
   // --- Root registry -----------------------------------------------------
@@ -74,6 +93,11 @@ public:
   /// table pointer). The slot must stay valid until removeRoot.
   void addRoot(Value *Slot);
   void removeRoot(Value *Slot);
+
+  /// Registers \p Source, whose markRoots every full collection calls
+  /// until removeRootSource.
+  void addRootSource(RootSource *Source);
+  void removeRootSource(RootSource *Source);
 
   // --- Full collection ----------------------------------------------------
 
@@ -99,7 +123,11 @@ private:
   /// First-fit free list of swept chunks (addresses of FreeChunk objects).
   std::vector<Object *> FreeList;
   std::vector<Value *> Roots;
+  std::vector<RootSource *> RootSources;
   std::unordered_map<std::string, Object *> Symbols;
+  /// Direct-mapped cache over Symbols, read without Lock: a slot holds a
+  /// published, immutable symbol or null, and collisions just overwrite.
+  std::array<std::atomic<Object *>, 256> SymbolCache{};
   GlobalHeapStats Stats;
 };
 

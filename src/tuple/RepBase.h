@@ -8,13 +8,16 @@
 /// Private interface implemented by each tuple-space representation. The
 /// facade (TupleSpace) normalizes tuples (interning, escaping) before
 /// calling in; representations only see resolved gc values, live threads
-/// and formals.
+/// and formals. Each representation is the GC root source for the values
+/// it stores (registered once by the facade), so storing or dropping a
+/// tuple never touches the heap's root registry.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STING_TUPLE_REPBASE_H
 #define STING_TUPLE_REPBASE_H
 
+#include "gc/GlobalHeap.h"
 #include "tuple/Tuple.h"
 #include "tuple/TupleSpace.h"
 
@@ -23,7 +26,7 @@
 namespace sting {
 namespace detail {
 
-class TupleSpaceRepBase {
+class TupleSpaceRepBase : public gc::RootSource {
 public:
   /// \p Stats outlives the representation (it is a member of the owning
   /// TupleSpace, declared before Impl); representations charge Blocks,
@@ -64,12 +67,10 @@ protected:
 };
 
 /// The general two-hash-table representation (TupleSpace.cpp).
-std::unique_ptr<TupleSpaceRepBase> makeHashedRep(gc::GlobalHeap &Heap,
-                                                 TupleSpaceStats &Stats);
+std::unique_ptr<TupleSpaceRepBase> makeHashedRep(TupleSpaceStats &Stats);
 
 /// Specialized representations (Specialize.cpp).
 std::unique_ptr<TupleSpaceRepBase> makeSpecializedRep(TupleSpaceRep Rep,
-                                                      gc::GlobalHeap &Heap,
                                                       TupleSpaceStats &Stats);
 
 /// Shared helper: number of formals referenced by \p Template (max index

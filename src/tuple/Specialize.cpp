@@ -26,7 +26,6 @@
 #include "core/Current.h"
 #include "core/Tcb.h"
 #include "core/ThreadController.h"
-#include "gc/GlobalHeap.h"
 #include "gc/Object.h"
 #include "obs/TraceBuffer.h"
 #include "support/Chaos.h"
@@ -43,18 +42,11 @@ namespace {
 using namespace sting::detail;
 
 /// Common base for the singleton-tuple representations: storage is a set
-/// of gc values registered as GC roots, guarded by one lock, with one
-/// waiter list.
+/// of gc values (marked by the representation's markRoots), guarded by one
+/// lock, with one waiter list.
 class SingletonRepBase : public TupleSpaceRepBase {
 public:
-  SingletonRepBase(gc::GlobalHeap &Heap, TupleSpaceStats &Stats)
-      : TupleSpaceRepBase(Stats), Heap(Heap) {}
-
-  ~SingletonRepBase() override {
-    std::lock_guard<SpinLock> Guard(Lock);
-    for (auto &Slot : Slots)
-      Heap.removeRoot(Slot.get());
-  }
+  using TupleSpaceRepBase::TupleSpaceRepBase;
 
   std::optional<Match> matchUntil(const Tuple &Template, bool Remove,
                                   Deadline D) override {
@@ -76,38 +68,19 @@ protected:
     return T.front().value();
   }
 
-  /// Registers a stored value as a GC root; returns a stable slot.
-  gc::Value *pin(gc::Value V) {
-    Slots.push_back(std::make_unique<gc::Value>(V));
-    Heap.addRoot(Slots.back().get());
-    return Slots.back().get();
-  }
-
-  void unpin(gc::Value *Slot) {
-    Heap.removeRoot(Slot);
-    for (auto It = Slots.begin(); It != Slots.end(); ++It) {
-      if (It->get() != Slot)
-        continue;
-      Slots.erase(It);
-      return;
-    }
-  }
-
   static Match singletonMatch(gc::Value V, const Tuple &Template) {
     return buildMatch({V}, Template);
   }
 
-  gc::GlobalHeap &Heap;
-  SpinLock Lock;
+  mutable SpinLock Lock;
   ParkList Waiters;
-
-private:
-  std::vector<std::unique_ptr<gc::Value>> Slots;
 };
 
 //===----------------------------------------------------------------------===//
 // Handoff machinery for the queue and bag/set forms.
 //===----------------------------------------------------------------------===//
+
+struct RegisteredTag;
 
 /// Singleton reps whose put hands the value straight to registered
 /// waiters. Storage access is split into a locked core (matchLocked /
@@ -120,17 +93,23 @@ class HandoffSingletonRep : public SingletonRepBase {
 protected:
   using SingletonRepBase::SingletonRepBase;
 
-  /// A blocked reader's registration; Slot is a GC root for the duration
-  /// (thread stacks are not scanned, and a delivery may sit in the slot
-  /// across a park).
-  struct SingletonWaiter : HandoffWaiterBase {
+  /// A blocked reader's registration. It stays on the representation's
+  /// Registered list from enqueue to retirement, so markRoots keeps its
+  /// Slot alive (thread stacks are not scanned, and a delivery may sit in
+  /// the slot across a park).
+  struct SingletonWaiter : HandoffWaiterBase, ListNode<RegisteredTag> {
     SingletonWaiter(const Tuple &T, bool Remove)
         : Template(&T), Remove(Remove) {}
+    using HandoffWaiterBase::isLinked; // armed in Handoff
 
     const Tuple *Template;
     bool Remove;
     gc::Value Slot;
   };
+
+  /// Marks stored values (Lock held).
+  virtual void markStorageLocked(
+      const std::function<void(gc::Value)> &Mark) = 0;
 
   /// The storage-specific match, with Lock held. A Remove match consumes
   /// from storage.
@@ -171,6 +150,13 @@ protected:
   }
 
 public:
+  void markRoots(const std::function<void(gc::Value)> &Mark) override {
+    std::lock_guard<SpinLock> Guard(Lock);
+    markStorageLocked(Mark);
+    for (SingletonWaiter &W : Registered)
+      Mark(W.Slot);
+  }
+
   std::optional<Match> tryMatch(const Tuple &Template,
                                 bool Remove) override {
     std::lock_guard<SpinLock> Guard(Lock);
@@ -195,7 +181,7 @@ public:
       {
         std::lock_guard<SpinLock> Guard(Lock);
         Handoff.enqueue(W);
-        Heap.addRoot(&W.Slot);
+        Registered.pushBack(W);
       }
       std::optional<Match> M;
       try {
@@ -240,14 +226,14 @@ public:
             // reporting the timeout here cannot strand a value.
             if (D.expired()) {
               Handoff.finish(W);
-              Heap.removeRoot(&W.Slot);
+              unregisterLocked(W);
               TimedOut = true;
             }
             // else: spurious unpark; stay registered and re-park.
           } else {
             Delivered = true; // deliver() is the only completion here
             Got = W.Slot;
-            Heap.removeRoot(&W.Slot);
+            unregisterLocked(W);
           }
         }
         if (TimedOut)
@@ -259,10 +245,14 @@ public:
   }
 
 private:
+  static void unregisterLocked(SingletonWaiter &W) {
+    IntrusiveList<SingletonWaiter, RegisteredTag>::erase(W);
+  }
+
   /// Ends \p W's registration episode; \returns the value a racing put
   /// delivered, if any. With \p Redeposit, a delivered take value is
-  /// returned to storage (and offered onward) before the slot's root is
-  /// dropped, so it is never left unrooted or stranded.
+  /// returned to storage (and offered onward) in the same critical section
+  /// that unregisters the slot, so it is never left unrooted or stranded.
   std::optional<gc::Value> retire(SingletonWaiter &W, bool Redeposit) {
     std::optional<gc::Value> Got;
     std::vector<ThreadRef> Wakes;
@@ -275,7 +265,7 @@ private:
           deliverLocked(Wakes);
         }
       }
-      Heap.removeRoot(&W.Slot);
+      unregisterLocked(W);
     }
     fire(Wakes);
     return Got;
@@ -283,6 +273,8 @@ private:
 
 protected:
   HandoffList<SingletonWaiter> Handoff;
+  /// Every waiter between enqueue and retirement, armed or delivered.
+  IntrusiveList<SingletonWaiter, RegisteredTag> Registered;
 };
 
 //===----------------------------------------------------------------------===//
@@ -298,37 +290,39 @@ public:
     std::vector<ThreadRef> Wakes;
     {
       std::lock_guard<SpinLock> Guard(Lock);
-      Items.push_back(pin(V));
+      Items.push_back(V);
       deliverLocked(Wakes);
     }
     fire(Wakes);
   }
 
   std::size_t size() const override {
-    std::lock_guard<SpinLock> Guard(
-        const_cast<SpinLock &>(Lock));
+    std::lock_guard<SpinLock> Guard(Lock);
     return Items.size();
   }
 
 private:
+  void markStorageLocked(
+      const std::function<void(gc::Value)> &Mark) override {
+    for (gc::Value V : Items)
+      Mark(V);
+  }
+
   std::optional<gc::Value> matchLocked(const Tuple &Template,
                                        bool Remove) override {
     checkTemplate(Template);
     if (Items.empty())
       return std::nullopt;
-    gc::Value *Slot = Items.front();
-    gc::Value V = *Slot;
-    if (Remove) {
+    gc::Value V = Items.front();
+    if (Remove)
       Items.pop_front();
-      unpin(Slot);
-    }
     return V;
   }
 
   void restoreLocked(gc::Value V) override {
     // The value was taken from the front; put it back there so FIFO order
     // survives an unwound delivery.
-    Items.push_front(pin(V));
+    Items.push_front(V);
   }
 
   static void checkTemplate(const Tuple &Template) {
@@ -336,7 +330,7 @@ private:
                 "queue representation matches only [?x] templates");
   }
 
-  std::deque<gc::Value *> Items;
+  std::deque<gc::Value> Items;
 };
 
 //===----------------------------------------------------------------------===//
@@ -345,8 +339,8 @@ private:
 
 class BagRep : public HandoffSingletonRep {
 public:
-  BagRep(gc::GlobalHeap &Heap, TupleSpaceStats &Stats, bool Dedupe)
-      : HandoffSingletonRep(Heap, Stats), Dedupe(Dedupe) {}
+  BagRep(TupleSpaceStats &Stats, bool Dedupe)
+      : HandoffSingletonRep(Stats), Dedupe(Dedupe) {}
 
   void put(Tuple T) override {
     gc::Value V = soleValue(T);
@@ -354,45 +348,48 @@ public:
     {
       std::lock_guard<SpinLock> Guard(Lock);
       if (Dedupe) {
-        for (gc::Value *Slot : Items)
-          if (gc::valueEqual(*Slot, V))
+        for (gc::Value Stored : Items)
+          if (gc::valueEqual(Stored, V))
             return; // set semantics: ignore duplicates
       }
-      Items.push_back(pin(V));
+      Items.push_back(V);
       deliverLocked(Wakes);
     }
     fire(Wakes);
   }
 
   std::size_t size() const override {
-    std::lock_guard<SpinLock> Guard(const_cast<SpinLock &>(Lock));
+    std::lock_guard<SpinLock> Guard(Lock);
     return Items.size();
   }
 
 private:
+  void markStorageLocked(
+      const std::function<void(gc::Value)> &Mark) override {
+    for (gc::Value V : Items)
+      Mark(V);
+  }
+
   std::optional<gc::Value> matchLocked(const Tuple &Template,
                                        bool Remove) override {
     STING_CHECK(Template.size() == 1,
                 "bag/set representation holds singleton tuples");
     const Field &TF = Template.front();
     for (auto It = Items.begin(); It != Items.end(); ++It) {
-      gc::Value V = **It;
+      gc::Value V = *It;
       if (!TF.isFormal() && !gc::valueEqual(TF.value(), V))
         continue;
-      if (Remove) {
-        gc::Value *Slot = *It;
+      if (Remove)
         Items.erase(It);
-        unpin(Slot);
-      }
       return V;
     }
     return std::nullopt;
   }
 
-  void restoreLocked(gc::Value V) override { Items.push_back(pin(V)); }
+  void restoreLocked(gc::Value V) override { Items.push_back(V); }
 
   bool Dedupe;
-  std::vector<gc::Value *> Items;
+  std::vector<gc::Value> Items;
 };
 
 //===----------------------------------------------------------------------===//
@@ -402,11 +399,12 @@ private:
 
 class SharedVariableRep final : public SingletonRepBase {
 public:
-  SharedVariableRep(gc::GlobalHeap &Heap, TupleSpaceStats &Stats)
-      : SingletonRepBase(Heap, Stats) {
-    Heap.addRoot(&Cell);
+  using SingletonRepBase::SingletonRepBase;
+
+  void markRoots(const std::function<void(gc::Value)> &Mark) override {
+    std::lock_guard<SpinLock> Guard(Lock);
+    Mark(Cell);
   }
-  ~SharedVariableRep() override { Heap.removeRoot(&Cell); }
 
   void put(Tuple T) override {
     gc::Value V = soleValue(T);
@@ -437,7 +435,7 @@ public:
   }
 
   std::size_t size() const override {
-    std::lock_guard<SpinLock> Guard(const_cast<SpinLock &>(Lock));
+    std::lock_guard<SpinLock> Guard(Lock);
     return Full ? 1 : 0;
   }
 
@@ -454,6 +452,9 @@ private:
 class SemaphoreRep final : public SingletonRepBase {
 public:
   using SingletonRepBase::SingletonRepBase;
+
+  /// Tokens are counts; no heap value is ever stored.
+  void markRoots(const std::function<void(gc::Value)> &) override {}
 
   void put(Tuple T) override {
     STING_CHECK(T.size() == 1, "semaphore representation takes one token");
@@ -496,14 +497,13 @@ private:
 
 class VectorRep final : public TupleSpaceRepBase {
 public:
-  VectorRep(gc::GlobalHeap &Heap, TupleSpaceStats &Stats)
-      : TupleSpaceRepBase(Stats), Heap(Heap) {}
+  using TupleSpaceRepBase::TupleSpaceRepBase;
 
-  ~VectorRep() override {
+  void markRoots(const std::function<void(gc::Value)> &Mark) override {
     std::lock_guard<SpinLock> Guard(Lock);
-    for (auto &Cell : Cells)
+    for (const auto &Cell : Cells)
       if (Cell)
-        Heap.removeRoot(Cell.get());
+        Mark(*Cell);
   }
 
   void put(Tuple T) override {
@@ -515,12 +515,7 @@ public:
       std::lock_guard<SpinLock> Guard(Lock);
       if (Cells.size() <= Index)
         Cells.resize(Index + 1);
-      if (!Cells[Index]) {
-        Cells[Index] = std::make_unique<gc::Value>(T[1].value());
-        Heap.addRoot(Cells[Index].get());
-      } else {
-        *Cells[Index] = T[1].value();
-      }
+      Cells[Index] = T[1].value();
     }
     Waiters.wakeAll();
   }
@@ -550,46 +545,42 @@ public:
     const Field &TF = Template[1];
     if (!TF.isFormal() && !gc::valueEqual(TF.value(), V))
       return std::nullopt;
-    if (Remove) {
-      Heap.removeRoot(Cells[Index].get());
+    if (Remove)
       Cells[Index].reset();
-    }
     return buildMatch({Template[0].value(), V}, Template);
   }
 
   std::size_t size() const override {
-    std::lock_guard<SpinLock> Guard(const_cast<SpinLock &>(Lock));
+    std::lock_guard<SpinLock> Guard(Lock);
     std::size_t N = 0;
     for (const auto &Cell : Cells)
-      N += Cell != nullptr;
+      N += Cell.has_value();
     return N;
   }
 
 private:
-  gc::GlobalHeap &Heap;
   mutable SpinLock Lock;
-  std::vector<std::unique_ptr<gc::Value>> Cells;
+  std::vector<std::optional<gc::Value>> Cells;
   ParkList Waiters;
 };
 
 } // namespace
 
 std::unique_ptr<detail::TupleSpaceRepBase>
-detail::makeSpecializedRep(TupleSpaceRep Rep, gc::GlobalHeap &Heap,
-                           TupleSpaceStats &Stats) {
+detail::makeSpecializedRep(TupleSpaceRep Rep, TupleSpaceStats &Stats) {
   switch (Rep) {
   case TupleSpaceRep::Queue:
-    return std::make_unique<QueueRep>(Heap, Stats);
+    return std::make_unique<QueueRep>(Stats);
   case TupleSpaceRep::Bag:
-    return std::make_unique<BagRep>(Heap, Stats, /*Dedupe=*/false);
+    return std::make_unique<BagRep>(Stats, /*Dedupe=*/false);
   case TupleSpaceRep::Set:
-    return std::make_unique<BagRep>(Heap, Stats, /*Dedupe=*/true);
+    return std::make_unique<BagRep>(Stats, /*Dedupe=*/true);
   case TupleSpaceRep::SharedVariable:
-    return std::make_unique<SharedVariableRep>(Heap, Stats);
+    return std::make_unique<SharedVariableRep>(Stats);
   case TupleSpaceRep::Semaphore:
-    return std::make_unique<SemaphoreRep>(Heap, Stats);
+    return std::make_unique<SemaphoreRep>(Stats);
   case TupleSpaceRep::Vector:
-    return std::make_unique<VectorRep>(Heap, Stats);
+    return std::make_unique<VectorRep>(Stats);
   case TupleSpaceRep::Hashed:
     break;
   }

@@ -124,9 +124,10 @@ struct BinItemTag;
 /// owning representation's pool: matchers may pin an entry across
 /// thread-field resolution while a competing taker removes it, and a
 /// dropped last reference returns the node to the freelist instead of
-/// the allocator.
+/// the allocator. While referenced, its datum fields are GC roots (the
+/// representation's markRoots).
 struct Entry : ListNode<BinItemTag> {
-  Entry(HashedRep &Owner, gc::GlobalHeap &Heap) : Owner(Owner), Heap(Heap) {}
+  explicit Entry(HashedRep &Owner) : Owner(Owner) {}
 
   void retain() { Refs.fetch_add(1, std::memory_order_relaxed); }
   void release(); ///< recycles into Owner's pool on the last reference
@@ -134,15 +135,12 @@ struct Entry : ListNode<BinItemTag> {
   /// Replaces a determined live-thread field with its value, once.
   void resolveField(std::size_t I, gc::Value V) {
     std::lock_guard<SpinLock> Guard(Lock);
-    if (!Fields[I].isLiveThread())
-      return;
-    Fields[I].becomeDatum(V);
-    Heap.addRoot(Fields[I].valueSlot());
+    if (Fields[I].isLiveThread())
+      Fields[I].becomeDatum(V);
   }
 
   HashedRep &Owner;
   Tuple Fields;
-  gc::GlobalHeap &Heap;
   SpinLock Lock; ///< guards live-thread resolution and Removed
   /// The depositor's causal flow at put time, handed to the matcher.
   std::uint64_t Flow = 0;
@@ -201,6 +199,8 @@ struct TupleWaiter : HandoffWaiterBase {
   EntryRef Slot;         ///< where a deposit lands
 };
 
+struct ProxyTag;
+
 /// A heap-owned registration armed on behalf of a *remote* waiter (the
 /// multi-VM hook, DESIGN.md §13). Linkage and HandoffState are guarded by
 /// the home bin's lock like any TupleWaiter; the completion flags below are
@@ -208,17 +208,18 @@ struct TupleWaiter : HandoffWaiterBase {
 /// intrusively refcounted — the registry holds one reference, and every
 /// in-flight completion (a deposit's delivery/nudge, an active rescan
 /// driver) pins its own, so no path ever touches a freed record.
-struct ProxyReg final : TupleWaiter {
+struct ProxyReg final : TupleWaiter, ListNode<ProxyTag> {
   ProxyReg(std::unique_ptr<Tuple> T, bool Remove, std::uint64_t Id,
            TupleSpace::ProxyDeliverFn Deliver)
       : TupleWaiter(*T, Remove), Owned(std::move(T)), Id(Id),
         Deliver(std::move(Deliver)) {
     IsProxy = true;
   }
+  using TupleWaiter::isLinked; // armed in the home bin
 
   void retain() { Refs.fetch_add(1, std::memory_order_relaxed); }
   /// \returns true when the caller dropped the last reference and must
-  /// dispose (the rep unroots the template fields and deletes).
+  /// dispose (the rep unlinks it from its live proxies and deletes).
   bool release() { return Refs.fetch_sub(1, std::memory_order_acq_rel) == 1; }
 
   std::unique_ptr<Tuple> Owned; ///< what TupleWaiter::Template points at
@@ -258,13 +259,12 @@ enum class EntryMatch {
 
 class HashedRep final : public TupleSpaceRepBase {
 public:
-  HashedRep(gc::GlobalHeap &Heap, TupleSpaceStats &Stats)
-      : TupleSpaceRepBase(Stats), Heap(Heap) {}
+  explicit HashedRep(TupleSpaceStats &Stats) : TupleSpaceRepBase(Stats) {}
 
   ~HashedRep() override {
     // Proxies ought to be retracted before the space dies (the shard
     // service retracts at connection teardown); drop stragglers
-    // defensively so their entry pins and roots are returned.
+    // defensively so their entry pins are returned.
     for (auto &[Id, P] : Registry) {
       (void)Id;
       Bin &Home = binForTemplate(*P->Template);
@@ -285,11 +285,26 @@ public:
     for (Bin &B : Bins)
       Drain(B);
     Drain(Wildcard);
-    for (Entry *E = FreeList; E;) {
-      Entry *Next = E->NextFree;
-      delete E;
-      E = Next;
+  }
+
+  /// Marks the datum fields of every referenced entry — resident in a
+  /// bin, delivered into a waiter's slot, or pinned by a matcher — and
+  /// every live proxy's template.
+  void markRoots(const std::function<void(gc::Value)> &Mark) override {
+    auto MarkDatums = [&](const Tuple &T) {
+      for (const Field &F : T)
+        if (F.isDatum())
+          Mark(F.value());
+    };
+    {
+      std::lock_guard<SpinLock> Guard(PoolLock);
+      for (const auto &E : Pool)
+        if (E->Refs.load(std::memory_order_relaxed) != 0)
+          MarkDatums(E->Fields);
     }
+    std::lock_guard<SpinLock> Reg(RegLock);
+    for (ProxyReg &P : Proxies)
+      MarkDatums(*P.Owned);
   }
 
   void put(Tuple T) override { deposit(makeEntry(std::move(T))); }
@@ -432,16 +447,13 @@ public:
                      TupleSpace::ProxyDeliverFn Deliver) override {
     auto Owned = std::make_unique<Tuple>(std::move(Template));
     auto *P = new ProxyReg(std::move(Owned), Remove, Id, std::move(Deliver));
-    // Root the template's datum fields for the registration's lifetime
-    // (the owned vector never resizes, so the slots are stable) — the
-    // remote waiter has no stack frame pinning them, cf. makeEntry.
-    for (Field &F : *P->Owned)
-      if (F.isDatum())
-        Heap.addRoot(F.valueSlot());
     Bin &Home = binForTemplate(*P->Template);
     bool Duplicate = false;
     {
       std::lock_guard<SpinLock> Reg(RegLock);
+      // Live until disposed: markRoots keeps the template's datum fields
+      // alive, since the remote waiter has no stack frame pinning them.
+      Proxies.pushBack(*P);
       if (!Registry.emplace(Id, P).second) {
         Duplicate = true;
       } else {
@@ -501,9 +513,6 @@ public:
 
   /// Returns a recycled entry to the pool (called from Entry::release).
   void recycle(Entry *E) {
-    for (Field &F : E->Fields)
-      if (F.isDatum())
-        Heap.removeRoot(F.valueSlot());
     E->Fields.clear();
     std::lock_guard<SpinLock> Guard(PoolLock);
     E->NextFree = FreeList;
@@ -543,21 +552,18 @@ private:
   //--- Entry pool ---------------------------------------------------------
 
   EntryRef makeEntry(Tuple T) {
-    Entry *E = nullptr;
+    Entry *E;
     {
       std::lock_guard<SpinLock> Guard(PoolLock);
       if ((E = FreeList))
         FreeList = E->NextFree;
+      else
+        E = Pool.emplace_back(std::make_unique<Entry>(*this)).get();
     }
-    if (!E)
-      E = new Entry(*this, Heap);
     E->Refs.store(1, std::memory_order_relaxed);
     E->Fields = std::move(T);
     E->Flow = obs::currentFlowId();
     E->Removed = false;
-    for (Field &F : E->Fields)
-      if (F.isDatum())
-        Heap.addRoot(F.valueSlot());
     return EntryRef::adopt(E);
   }
 
@@ -778,9 +784,10 @@ private:
   //--- Registration proxies (the multi-VM hook) ---------------------------
 
   void disposeProxy(ProxyReg *P) {
-    for (Field &F : *P->Owned)
-      if (F.isDatum())
-        Heap.removeRoot(F.valueSlot());
+    {
+      std::lock_guard<SpinLock> Reg(RegLock);
+      IntrusiveList<ProxyReg, ProxyTag>::erase(*P);
+    }
     delete P;
   }
 
@@ -1146,18 +1153,21 @@ private:
     return ThreadRef();
   }
 
-  gc::GlobalHeap &Heap;
   Bin Bins[NumBins];
   Bin Wildcard;
-  /// Entry freelist (the pool): recycled nodes keep their storage, so a
-  /// steady-state put allocates nothing for the entry itself.
+  /// Every entry ever made, and the freelist threaded through the recycled
+  /// ones: recycled nodes keep their storage, so a steady-state put
+  /// allocates nothing for the entry itself.
   SpinLock PoolLock;
+  std::vector<std::unique_ptr<Entry>> Pool;
   Entry *FreeList = nullptr;
   /// Proxy registrations by id. Lock order: RegLock, then a bin lock —
   /// the deposit path (bin lock only) never takes RegLock, so the nesting
   /// is acyclic.
   SpinLock RegLock;
   std::unordered_map<std::uint64_t, ProxyReg *> Registry;
+  /// Every registration not yet disposed, in or out of Registry.
+  IntrusiveList<ProxyReg, ProxyTag> Proxies;
 };
 
 void Entry::release() {
@@ -1168,8 +1178,8 @@ void Entry::release() {
 } // namespace
 
 std::unique_ptr<detail::TupleSpaceRepBase>
-detail::makeHashedRep(gc::GlobalHeap &Heap, TupleSpaceStats &Stats) {
-  return std::make_unique<HashedRep>(Heap, Stats);
+detail::makeHashedRep(TupleSpaceStats &Stats) {
+  return std::make_unique<HashedRep>(Stats);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1194,12 +1204,13 @@ void adoptMatchFlow(const Match &M) {
 TupleSpace::TupleSpace(TupleSpaceRep Rep, gc::GlobalHeap &Heap)
     : Rep(Rep), Heap(&Heap) {
   if (Rep == TupleSpaceRep::Hashed)
-    Impl = detail::makeHashedRep(Heap, Stats);
+    Impl = detail::makeHashedRep(Stats);
   else
-    Impl = detail::makeSpecializedRep(Rep, Heap, Stats);
+    Impl = detail::makeSpecializedRep(Rep, Stats);
+  Heap.addRootSource(Impl.get());
 }
 
-TupleSpace::~TupleSpace() = default;
+TupleSpace::~TupleSpace() { Heap->removeRootSource(Impl.get()); }
 
 TupleSpaceRef TupleSpace::create(TupleSpaceRep Rep, gc::GlobalHeap *Heap) {
   return TupleSpaceRef::adopt(

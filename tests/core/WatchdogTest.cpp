@@ -16,6 +16,7 @@
 #include "core/VirtualMachine.h"
 #include "support/Clock.h"
 #include "sync/Mutex.h"
+#include "tuple/TupleSpace.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
@@ -196,6 +197,35 @@ TEST(WatchdogTest, PendingTimedWaitIsNotADeadlock) {
   EXPECT_EQ(Vm.watchdog()->lastReport().find("machine-blocked"),
             std::string::npos);
   M.release();
+}
+
+TEST(WatchdogTest, FlagsWedgeRightAfterSatisfiedTimedWait) {
+  VirtualMachine Vm(watchedConfig());
+  TupleSpaceRef Ts = TupleSpace::create(TupleSpaceRep::Hashed,
+                                        &Vm.globalHeap());
+  // A 2 s timed take, satisfied at once; then an untimed take nothing
+  // will ever satisfy. The satisfied wait must not leave a timer that
+  // keeps the wedged machine looking wakeable until its deadline.
+  ThreadRef T = Vm.fork([&]() -> AnyValue {
+    bool Got = Ts->takeUntil(makeTuple("go"), Deadline::in(2'000'000'000))
+                   .has_value();
+    Ts->take(makeTuple("never"));
+    return AnyValue(Got);
+  });
+  ASSERT_TRUE(eventually([&] { return Vm.clock().pendingTimers() != 0; },
+                         10'000'000'000));
+  Ts->put(makeTuple("go"));
+
+  EXPECT_TRUE(eventually(
+      [&] { return Vm.watchdog()->reportsEmitted() > 0; }, 1'000'000'000))
+      << "watchdog did not flag the wedge before the stale deadline";
+  EXPECT_NE(Vm.watchdog()->lastReport().find("machine-blocked"),
+            std::string::npos)
+      << Vm.watchdog()->lastReport();
+
+  Ts->put(makeTuple("never")); // unwedge
+  T->join();
+  EXPECT_TRUE(T->valueAs<bool>());
 }
 
 TEST(WatchdogTest, DisabledByDefault) {

@@ -489,6 +489,28 @@ TEST(TimedWaitTest, TupleSpaceTimedTakeHashed) {
   });
 }
 
+TEST(TimedWaitTest, SatisfiedTakeDropsItsTimer) {
+  VirtualMachine Vm(VmConfig{.NumVps = 2, .NumPps = 2});
+  Vm.run([&Vm]() -> AnyValue {
+    TupleSpaceRef Ts = TupleSpace::create();
+    ThreadRef Producer = TC::forkThread([&]() -> AnyValue {
+      // Put only once the take has parked and armed its timer.
+      while (Vm.clock().pendingTimers() == 0)
+        TC::yieldProcessor();
+      Ts->put(makeTuple("job", 9));
+      return AnyValue();
+    });
+    auto M = Ts->takeUntil(makeTuple("job", formal(0)),
+                           Deadline::in(2'000'000'000));
+    EXPECT_TRUE(M.has_value());
+    // Woken ~2 s early: the timer must leave with the wait, not linger in
+    // the clock until its deadline.
+    EXPECT_EQ(Vm.clock().pendingTimers(), 0u);
+    TC::threadWait(*Producer);
+    return AnyValue();
+  });
+}
+
 TEST(TimedWaitTest, TupleSpaceTimedReadSpecialized) {
   VirtualMachine Vm;
   Vm.run([]() -> AnyValue {
