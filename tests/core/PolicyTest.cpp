@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <ostream>
 
 namespace {
 
@@ -43,25 +44,6 @@ TEST_P(PolicyConformanceTest, AllForkedThreadsComplete) {
   for (auto &T : Threads)
     T->join();
   EXPECT_EQ(Count.load(), 100);
-}
-
-TEST_P(PolicyConformanceTest, NestedForkJoinTree) {
-  VirtualMachine Vm(VmConfig{.NumVps = 2, .Policy = GetParam().Make()});
-  // A binary fork tree of depth 5 summing leaves.
-  struct Node {
-    static AnyValue compute(int Depth) {
-      if (Depth == 0)
-        return AnyValue(1);
-      ThreadRef L = TC::forkThread(
-          [Depth]() -> AnyValue { return compute(Depth - 1); });
-      ThreadRef R = TC::forkThread(
-          [Depth]() -> AnyValue { return compute(Depth - 1); });
-      return AnyValue(TC::threadValue(*L).as<int>() +
-                      TC::threadValue(*R).as<int>());
-    }
-  };
-  AnyValue V = Vm.run([]() -> AnyValue { return Node::compute(5); });
-  EXPECT_EQ(V.as<int>(), 32);
 }
 
 TEST_P(PolicyConformanceTest, BlockingAndResumptionWork) {
@@ -96,6 +78,45 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyCase{"Priority", &makePriorityPolicy},
                       PolicyCase{"StealHalf", &makeStealHalfPolicy}),
     [](const ::testing::TestParamInfo<PolicyCase> &Info) {
+      return Info.param.Name;
+    });
+
+// The same cases, printed by name. ctest's test IDs embed the printed
+// parameter, and the raw bytes gtest prints by default hold the Name
+// pointer, whose address moves with every build and every ASLR draw.
+struct NamedPolicyCase : PolicyCase {};
+
+void PrintTo(const NamedPolicyCase &C, std::ostream *OS) { *OS << C.Name; }
+
+class PolicyForkJoinTest : public ::testing::TestWithParam<NamedPolicyCase> {};
+
+TEST_P(PolicyForkJoinTest, NestedForkJoinTree) {
+  VirtualMachine Vm(VmConfig{.NumVps = 2, .Policy = GetParam().Make()});
+  // A binary fork tree of depth 5 summing leaves.
+  struct Node {
+    static AnyValue compute(int Depth) {
+      if (Depth == 0)
+        return AnyValue(1);
+      ThreadRef L = TC::forkThread(
+          [Depth]() -> AnyValue { return compute(Depth - 1); });
+      ThreadRef R = TC::forkThread(
+          [Depth]() -> AnyValue { return compute(Depth - 1); });
+      return AnyValue(TC::threadValue(*L).as<int>() +
+                      TC::threadValue(*R).as<int>());
+    }
+  };
+  AnyValue V = Vm.run([]() -> AnyValue { return Node::compute(5); });
+  EXPECT_EQ(V.as<int>(), 32);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, PolicyForkJoinTest,
+    ::testing::Values(NamedPolicyCase{{"LocalFifo", &makeLocalFifoPolicy}},
+                      NamedPolicyCase{{"LocalLifo", &makeLocalLifoPolicy}},
+                      NamedPolicyCase{{"GlobalFifo", &makeGlobalFifoPolicy}},
+                      NamedPolicyCase{{"Priority", &makePriorityPolicy}},
+                      NamedPolicyCase{{"StealHalf", &makeStealHalfPolicy}}),
+    [](const ::testing::TestParamInfo<NamedPolicyCase> &Info) {
       return Info.param.Name;
     });
 
