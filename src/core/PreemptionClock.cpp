@@ -13,6 +13,7 @@
 #include "core/VirtualProcessor.h"
 #include "support/Clock.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace sting {
@@ -20,7 +21,9 @@ namespace sting {
 PreemptionClock::PreemptionClock(VirtualMachine &Vm, std::uint64_t TickNanos,
                                  bool PreemptionEnabled)
     : Vm(&Vm), TickNanos(TickNanos ? TickNanos : 1'000'000),
-      Enabled(PreemptionEnabled) {
+      Enabled(PreemptionEnabled),
+      NumHeaps(Vm.vps().size()),
+      Heaps(std::make_unique<TimerHeap[]>(NumHeaps)) {
   Os = std::thread([this] { run(); });
 }
 
@@ -39,32 +42,36 @@ void PreemptionClock::stop() {
 
 void PreemptionClock::setPreemptionEnabled(bool NewEnabled) {
   Enabled.store(NewEnabled, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> Guard(TimerLock);
+    Kicked = true;
+  }
   TimerCv.notify_all();
 }
 
 //===----------------------------------------------------------------------===//
-// Timer heap
+// Per-VP timer heaps
 //===----------------------------------------------------------------------===//
 
-void PreemptionClock::placeTimer(std::size_t I, Timer T) {
+void PreemptionClock::TimerHeap::place(std::size_t I, Timer T) {
   if (T.Owner)
     T.Owner->TimeoutIndex.store(I, std::memory_order_relaxed);
   Timers[I] = std::move(T);
 }
 
-void PreemptionClock::siftUp(std::size_t I) {
+void PreemptionClock::TimerHeap::siftUp(std::size_t I) {
   Timer T = std::move(Timers[I]);
   while (I != 0) {
     std::size_t Parent = (I - 1) / 2;
     if (Timers[Parent].DeadlineNanos <= T.DeadlineNanos)
       break;
-    placeTimer(I, std::move(Timers[Parent]));
+    place(I, std::move(Timers[Parent]));
     I = Parent;
   }
-  placeTimer(I, std::move(T));
+  place(I, std::move(T));
 }
 
-void PreemptionClock::siftDown(std::size_t I) {
+void PreemptionClock::TimerHeap::siftDown(std::size_t I) {
   Timer T = std::move(Timers[I]);
   for (;;) {
     std::size_t Child = 2 * I + 1;
@@ -75,13 +82,13 @@ void PreemptionClock::siftDown(std::size_t I) {
       ++Child;
     if (T.DeadlineNanos <= Timers[Child].DeadlineNanos)
       break;
-    placeTimer(I, std::move(Timers[Child]));
+    place(I, std::move(Timers[Child]));
     I = Child;
   }
-  placeTimer(I, std::move(T));
+  place(I, std::move(T));
 }
 
-PreemptionClock::Timer PreemptionClock::removeTimerAt(std::size_t I) {
+PreemptionClock::Timer PreemptionClock::TimerHeap::removeAt(std::size_t I) {
   Timer Removed = std::move(Timers[I]);
   if (Removed.Owner)
     Removed.Owner->TimeoutIndex.store(Tcb::NoTimeout,
@@ -96,49 +103,81 @@ PreemptionClock::Timer PreemptionClock::removeTimerAt(std::size_t I) {
   return Removed;
 }
 
-void PreemptionClock::pushTimer(Timer T) {
-  const bool Earlier = T.DeadlineNanos < NextWakeNanos;
+void PreemptionClock::TimerHeap::push(Timer T) {
   Timers.push_back(std::move(T));
   siftUp(Timers.size() - 1);
-  if (!Earlier)
+}
+
+void PreemptionClock::TimerHeap::publish() {
+  Earliest.store(Timers.empty() ? NoDeadline : Timers.front().DeadlineNanos,
+                 std::memory_order_seq_cst);
+}
+
+void PreemptionClock::arm(std::size_t HeapIndex, Timer T) {
+  const std::uint64_t DeadlineNanos = T.DeadlineNanos;
+  {
+    TimerHeap &H = Heaps[HeapIndex];
+    std::lock_guard<SpinLock> Guard(H.Lock);
+    if (T.Owner)
+      T.Owner->TimeoutHeap = HeapIndex;
+    H.push(std::move(T));
+    H.publish();
+  }
+  // The heap's Earliest store precedes this load (both seq_cst). Seeing
+  // Scanning, the clock has yet to publish its next plan, and it re-reads
+  // every heap after publishing (run()), so it finds this timer; seeing
+  // a plan, only a deadline before it needs a kick.
+  if (DeadlineNanos >= NextWakeNanos.load(std::memory_order_seq_cst))
     return;
-  // The clock thread sleeps past this deadline: cut its wait short. A
-  // later deadline needs no wake — the clock re-reads the heap under
-  // TimerLock before every wait.
-  NextWakeNanos = Timers.front().DeadlineNanos;
+  {
+    std::lock_guard<std::mutex> Guard(TimerLock);
+    Kicked = true;
+  }
   TimerCv.notify_one();
 }
 
 void PreemptionClock::scheduleResume(ThreadRef T, std::uint64_t DelayNanos) {
-  std::lock_guard<std::mutex> Guard(TimerLock);
-  pushTimer(Timer{nowNanos() + DelayNanos, std::move(T)});
+  VirtualProcessor *Vp = currentVp();
+  arm(Vp && &Vp->vm() == Vm ? Vp->index() : 0,
+      Timer{nowNanos() + DelayNanos, std::move(T)});
 }
 
 void PreemptionClock::scheduleTimeout(Tcb &C, std::uint64_t DeadlineNanos) {
-  Timer Replaced;
-  std::lock_guard<std::mutex> Guard(TimerLock);
-  if (std::size_t I = C.TimeoutIndex.load(std::memory_order_relaxed);
-      I != Tcb::NoTimeout)
-    Replaced = removeTimerAt(I);
-  pushTimer(Timer{DeadlineNanos, ThreadRef(C.thread()), &C});
+  cancelTimeout(C);
+  arm(C.vp()->index(), Timer{DeadlineNanos, ThreadRef(C.thread()), &C});
 }
 
 void PreemptionClock::cancelTimeout(Tcb &C) {
   // Only the owner arms, so a NoTimeout read here cannot be overtaken by
-  // a concurrent arm; any other value is re-checked under the lock (the
-  // clock may have fired the timer since).
+  // a concurrent arm, and TimeoutHeap is the owner's own last write; any
+  // other index is re-checked under that heap's lock (the clock may have
+  // fired the timer since).
   if (C.TimeoutIndex.load(std::memory_order_relaxed) == Tcb::NoTimeout)
     return;
   Timer Removed; // its ThreadRef drops after the lock
-  std::lock_guard<std::mutex> Guard(TimerLock);
+  TimerHeap &H = Heaps[C.TimeoutHeap];
+  std::lock_guard<SpinLock> Guard(H.Lock);
   if (std::size_t I = C.TimeoutIndex.load(std::memory_order_relaxed);
-      I != Tcb::NoTimeout)
-    Removed = removeTimerAt(I);
+      I != Tcb::NoTimeout) {
+    Removed = H.removeAt(I);
+    H.publish();
+  }
+}
+
+std::uint64_t PreemptionClock::earliestDeadline() const {
+  std::uint64_t Next = NoDeadline;
+  for (std::size_t I = 0; I != NumHeaps; ++I)
+    Next = std::min(Next, Heaps[I].Earliest.load(std::memory_order_seq_cst));
+  return Next;
 }
 
 std::size_t PreemptionClock::pendingTimers() const {
-  std::lock_guard<std::mutex> Guard(TimerLock);
-  return Timers.size();
+  std::size_t N = 0;
+  for (std::size_t I = 0; I != NumHeaps; ++I) {
+    std::lock_guard<SpinLock> Guard(Heaps[I].Lock);
+    N += Heaps[I].Timers.size();
+  }
+  return N;
 }
 
 void PreemptionClock::raisePreemptFlags(std::uint64_t Now) {
@@ -152,14 +191,18 @@ void PreemptionClock::raisePreemptFlags(std::uint64_t Now) {
 }
 
 void PreemptionClock::fireDueTimers(std::uint64_t Now) {
-  // Collect due targets under the lock, resume them outside it: threadRun
-  // and deliverTimeout walk thread/queue locks that must not nest inside
-  // TimerLock.
+  // Collect due targets under each heap's lock, resume them outside it:
+  // threadRun and deliverTimeout walk thread/queue locks that must not
+  // nest inside a heap lock. Heaps with nothing due are not locked.
   std::vector<Timer> Due;
-  {
-    std::lock_guard<std::mutex> Guard(TimerLock);
-    while (!Timers.empty() && Timers.front().DeadlineNanos <= Now)
-      Due.push_back(removeTimerAt(0));
+  for (std::size_t I = 0; I != NumHeaps; ++I) {
+    TimerHeap &H = Heaps[I];
+    if (H.Earliest.load(std::memory_order_seq_cst) > Now)
+      continue;
+    std::lock_guard<SpinLock> Guard(H.Lock);
+    while (!H.Timers.empty() && H.Timers.front().DeadlineNanos <= Now)
+      Due.push_back(H.removeAt(0));
+    H.publish();
   }
   for (const Timer &T : Due) {
     if (T.Owner)
@@ -171,26 +214,31 @@ void PreemptionClock::fireDueTimers(std::uint64_t Now) {
 
 void PreemptionClock::run() {
   while (!Stopping.load(std::memory_order_relaxed)) {
+    // Arms stop kicking while the heaps are scanned (see arm()).
+    NextWakeNanos.store(Scanning, std::memory_order_seq_cst);
     const std::uint64_t Now = nowNanos();
     fireDueTimers(Now);
     if (Enabled.load(std::memory_order_relaxed))
       raisePreemptFlags(Now);
 
-    std::uint64_t WaitNanos = TickNanos;
-    {
-      std::unique_lock<std::mutex> Lock(TimerLock);
+    std::unique_lock<std::mutex> Lock(TimerLock);
+    if (Stopping.load(std::memory_order_relaxed))
+      break;
+    if (!Kicked) {
       const std::uint64_t Later = nowNanos();
-      if (!Timers.empty()) {
-        std::uint64_t Next = Timers.front().DeadlineNanos;
-        std::uint64_t UntilTimer = Next > Later ? Next - Later : 1;
-        if (UntilTimer < WaitNanos)
-          WaitNanos = UntilTimer;
+      std::uint64_t Wake = Later + TickNanos;
+      NextWakeNanos.store(Wake, std::memory_order_seq_cst);
+      // Read the heaps only after publishing the plan: an arm that saw
+      // Scanning did not kick, but it published its timer first.
+      if (std::uint64_t Next = earliestDeadline(); Next < Wake) {
+        Wake = std::max(Next, Later + 1);
+        NextWakeNanos.store(Wake, std::memory_order_seq_cst);
       }
-      if (Stopping.load(std::memory_order_relaxed))
-        break;
-      NextWakeNanos = Later + WaitNanos;
-      TimerCv.wait_for(Lock, std::chrono::nanoseconds(WaitNanos));
+      TimerCv.wait_for(Lock, std::chrono::nanoseconds(Wake - Later), [this] {
+        return Kicked || Stopping.load(std::memory_order_relaxed);
+      });
     }
+    Kicked = false;
   }
 }
 

@@ -209,11 +209,16 @@ private:
 
   static constexpr std::size_t NoTimeout = ~std::size_t(0);
 
-  /// Heap index of this TCB's queued park timeout in the machine clock,
-  /// or NoTimeout. Written only under the clock's TimerLock; a timed park
-  /// arms it on entry and cancels it on return, so a TCB never holds more
-  /// than one and a satisfied wait leaves none behind.
+  /// Index of this TCB's queued park timeout in the machine clock's
+  /// per-VP heap TimeoutHeap, or NoTimeout. Written only under that heap's
+  /// lock; a timed park arms it on entry and cancels it on return, so a
+  /// TCB never holds more than one and a satisfied wait leaves none
+  /// behind.
   std::atomic<std::size_t> TimeoutIndex{NoTimeout};
+  /// The VP index whose clock heap holds the queued timeout; set by the
+  /// owner when it arms, so a thread resumed on another VP still cancels
+  /// on the right heap.
+  std::size_t TimeoutHeap = 0;
 
   /// Depth of stolen thunks currently running on this TCB (section 4.1.1).
   int StealDepth = 0;

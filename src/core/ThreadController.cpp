@@ -214,8 +214,8 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
 
   // Resumed — possibly on a different VP (C.Vp was updated by the
   // dispatching scheduler before switching back in). A park woken before
-  // its deadline drops its timer now, so the clock holds timers only for
-  // waits still in progress.
+  // its deadline drops its timer now, from the heap of the VP it armed
+  // on, so the clock holds timers only for waits still in progress.
   if (DeadlineNanos != 0)
     Clock.cancelTimeout(C);
   C.ParkKind = ParkClass::None;

@@ -32,6 +32,14 @@ template <typename Pick> void chargeVp(Pick P) {
     P(Vp->stats()).inc();
 }
 
+/// Turns Nagle off on a connected TCP socket: the wire layer writes whole
+/// frames and waits for replies, so Nagle plus delayed ACKs would stall
+/// every small request-response exchange by tens of milliseconds.
+void setNoDelay(int Fd) {
+  int One = 1;
+  setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+}
+
 } // namespace
 
 Socket::Socket(IoService &Io, int Fd) : Io(&Io), Fd(Fd) {
@@ -158,6 +166,7 @@ Socket Socket::connectUntil(IoService &Io, const char *Host,
       return Socket();
     }
   }
+  setNoDelay(Fd);
   return Socket(Io, Fd);
 }
 
@@ -225,6 +234,7 @@ Socket Listener::acceptUntil(Deadline D) {
         spinForNanos(50'000);
       }
       chargeVp([](obs::SchedStats &S) -> auto & { return S.NetAccepts; });
+      setNoDelay(Conn);
       return Socket(*Io, Conn);
     }
     if (errno != EAGAIN && errno != EWOULDBLOCK)

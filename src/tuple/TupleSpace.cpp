@@ -511,12 +511,26 @@ public:
     return WasArmed;
   }
 
-  /// Returns a recycled entry to the pool (called from Entry::release).
+  /// Returns a recycled entry to the cache of the VP dropping the last
+  /// reference (called from Entry::release). A full cache first spills
+  /// half of itself to the shared free list.
   void recycle(Entry *E) {
     E->Fields.clear();
-    std::lock_guard<SpinLock> Guard(PoolLock);
-    E->NextFree = FreeList;
-    FreeList = E;
+    EntryCache *C = localCache();
+    if (!C) {
+      std::lock_guard<SpinLock> Guard(PoolLock);
+      E->NextFree = FreeList;
+      FreeList = E;
+      return;
+    }
+    std::lock_guard<SpinLock> Local(C->Lock);
+    if (C->Count == TupleEntryCacheCap) {
+      std::lock_guard<SpinLock> Guard(PoolLock);
+      C->Count -= moveFree(C->Head, FreeList, TupleEntryCacheCap / 2);
+    }
+    E->NextFree = C->Head;
+    C->Head = E;
+    ++C->Count;
   }
 
 private:
@@ -551,15 +565,69 @@ private:
 
   //--- Entry pool ---------------------------------------------------------
 
-  EntryRef makeEntry(Tuple T) {
-    Entry *E;
-    {
-      std::lock_guard<SpinLock> Guard(PoolLock);
-      if ((E = FreeList))
-        FreeList = E->NextFree;
-      else
-        E = Pool.emplace_back(std::make_unique<Entry>(*this)).get();
+  /// A VP's private stack of recycled entries, so a steady-state put and
+  /// take touch no lock shared with other VPs.
+  struct alignas(64) EntryCache {
+    /// Uncontended except when VPs of two machines share a slot.
+    SpinLock Lock;
+    Entry *Head = nullptr;
+    std::size_t Count = 0; ///< at most TupleEntryCacheCap
+  };
+
+  static constexpr std::size_t NumEntryCaches = 16;
+
+  /// The calling VP's cache; null off a VP (those use the shared list).
+  EntryCache *localCache() {
+    VirtualProcessor *Vp = currentVp();
+    return Vp ? &Caches[Vp->index() % NumEntryCaches] : nullptr;
+  }
+
+  /// Moves up to \p N entries from free stack \p From onto \p To.
+  /// \returns how many moved.
+  static std::size_t moveFree(Entry *&From, Entry *&To, std::size_t N) {
+    std::size_t Moved = 0;
+    for (; From && Moved != N; ++Moved) {
+      Entry *E = From;
+      From = E->NextFree;
+      E->NextFree = To;
+      To = E;
     }
+    return Moved;
+  }
+
+  /// Pops the shared free list or grows the pool; PoolLock held.
+  Entry *takeShared() {
+    if (Entry *E = FreeList) {
+      FreeList = E->NextFree;
+      return E;
+    }
+    Stats.PooledEntries.fetch_add(1, std::memory_order_relaxed);
+    return Pool.emplace_back(std::make_unique<Entry>(*this)).get();
+  }
+
+  /// A recycled entry from the calling VP's cache, refilling an empty
+  /// cache with half a cache's worth from the shared free list.
+  Entry *allocEntry() {
+    EntryCache *C = localCache();
+    if (!C) {
+      std::lock_guard<SpinLock> Guard(PoolLock);
+      return takeShared();
+    }
+    std::lock_guard<SpinLock> Local(C->Lock);
+    if (!C->Head) {
+      std::lock_guard<SpinLock> Guard(PoolLock);
+      C->Count = moveFree(FreeList, C->Head, TupleEntryCacheCap / 2);
+      if (!C->Head)
+        return takeShared();
+    }
+    Entry *E = C->Head;
+    C->Head = E->NextFree;
+    --C->Count;
+    return E;
+  }
+
+  EntryRef makeEntry(Tuple T) {
+    Entry *E = allocEntry();
     E->Refs.store(1, std::memory_order_relaxed);
     E->Fields = std::move(T);
     E->Flow = obs::currentFlowId();
@@ -1155,12 +1223,14 @@ private:
 
   Bin Bins[NumBins];
   Bin Wildcard;
-  /// Every entry ever made, and the freelist threaded through the recycled
-  /// ones: recycled nodes keep their storage, so a steady-state put
-  /// allocates nothing for the entry itself.
+  /// Every entry ever made, and the shared freelist threaded through
+  /// recycled ones the VP caches spilled: recycled nodes keep their
+  /// storage, so a steady-state put allocates nothing for the entry
+  /// itself. Lock order: a cache's lock, then PoolLock.
   SpinLock PoolLock;
   std::vector<std::unique_ptr<Entry>> Pool;
   Entry *FreeList = nullptr;
+  EntryCache Caches[NumEntryCaches];
   /// Proxy registrations by id. Lock order: RegLock, then a bin lock —
   /// the deposit path (bin lock only) never takes RegLock, so the nesting
   /// is acyclic.

@@ -88,7 +88,15 @@ struct TupleSpaceStats {
   /// Threads woken by deposits (deliveries + re-scan nudges). With parked
   /// takers this should track Puts 1:1, not O(waiters) per put.
   std::atomic<std::uint64_t> Wakeups{0};
+  /// Gauge: entries the hashed representation owns — resident, in flight,
+  /// or recycled. Bounded by peak residency plus one TupleEntryCacheCap
+  /// per VP cache (DESIGN.md §12.3).
+  std::atomic<std::uint64_t> PooledEntries{0};
 };
+
+/// Most recycled entries one VP's cache in the hashed representation
+/// holds before spilling half of them to the space's shared free list.
+inline constexpr std::size_t TupleEntryCacheCap = 64;
 
 namespace detail {
 class TupleSpaceRepBase;

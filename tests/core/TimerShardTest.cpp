@@ -1,0 +1,145 @@
+//===- tests/core/TimerShardTest.cpp - Park timers across VPs ----------------===//
+//
+// Part of libsting. See DESIGN.md for the system overview.
+//
+// Timed parks arm their timeout on the machine clock (DESIGN.md 7.1). Two
+// properties must hold however the clock stores its timers:
+//  (a) a timed park woken early removes its timer even when the thread
+//      resumes on a different VP than the one it parked on, so a machine
+//      at rest has no pending timers;
+//  (b) arming a deadline earlier than the clock's planned wake cuts the
+//      clock's sleep short, so a short timeout fires on time even when the
+//      clock would otherwise sleep for a full (long) tick.
+//
+//===----------------------------------------------------------------------===//
+
+#include "core/ThreadController.h"
+#include "core/VirtualMachine.h"
+#include "support/Clock.h"
+#include "sync/ParkList.h"
+#include "tuple/TupleSpace.h"
+#include "gtest/gtest.h"
+
+#include <atomic>
+#include <vector>
+
+namespace {
+
+using namespace sting;
+using TC = ThreadController;
+
+constexpr std::uint64_t ShortNanos = 20'000;        // 20 us
+constexpr std::uint64_t LongNanos = 10'000'000'000; // 10 s (never reached)
+
+/// Rounds of timed ParkList waits on a 4-VP machine under \p Policy, most
+/// of them woken long before their deadline. \returns how many waits
+/// resumed on a VP other than the one they parked (and armed) on.
+int wakeWaitersEarly(PolicyFactory Policy) {
+  VmConfig Config;
+  Config.NumVps = 4;
+  Config.NumPps = 4;
+  Config.Policy = std::move(Policy);
+  VirtualMachine Vm(Config);
+  constexpr int Rounds = 20;
+  constexpr int Waiters = 32;
+  std::atomic<int> Migrated{0};
+  Vm.run([&]() -> AnyValue {
+    for (int Round = 0; Round != Rounds; ++Round) {
+      ParkList P;
+      std::atomic<bool> Go{false};
+      std::atomic<int> Ready{0}, TimedOut{0}, LongTimedOut{0};
+      std::vector<ThreadRef> Threads;
+      for (int I = 0; I != Waiters; ++I) {
+        const bool Short = I % 4 == 0;
+        SpawnOptions Opts;
+        Opts.Vp = &Vm.vp(0);
+        Threads.push_back(TC::forkThread(
+            [&, Short]() -> AnyValue {
+              VirtualProcessor *Armed = currentVp();
+              WaitResult R = P.awaitUntil(
+                  [&] { return Go.load(std::memory_order_acquire); }, &P,
+                  Deadline::in(Short ? ShortNanos : LongNanos));
+              if (currentVp() != Armed)
+                Migrated.fetch_add(1, std::memory_order_relaxed);
+              if (R == WaitResult::Ready) {
+                Ready.fetch_add(1, std::memory_order_relaxed);
+              } else {
+                TimedOut.fetch_add(1, std::memory_order_relaxed);
+                if (!Short)
+                  LongTimedOut.fetch_add(1, std::memory_order_relaxed);
+              }
+              return AnyValue();
+            },
+            Opts));
+      }
+      // Let the long waiters park (the short ones may already be gone).
+      while (P.waiterCount() < Waiters - Waiters / 4)
+        TC::yieldProcessor();
+      Go.store(true, std::memory_order_release);
+      P.wakeAll();
+      for (auto &T : Threads)
+        TC::threadWait(*T);
+      EXPECT_EQ(Ready.load() + TimedOut.load(), Waiters);
+      // The wake came 10 s before any long deadline.
+      EXPECT_EQ(LongTimedOut.load(), 0);
+      EXPECT_EQ(P.waiterCount(), 0u);
+      EXPECT_EQ(Vm.clock().pendingTimers(), 0u);
+    }
+    return AnyValue();
+  });
+  EXPECT_EQ(Vm.clock().pendingTimers(), 0u);
+  return Migrated.load();
+}
+
+TEST(TimerShardTest, StealHalfWaitsWokenEarlyLeaveNoTimers) {
+  // Steal-half keeps a woken TCB on its VP's private queue; the threads
+  // still spread over the VPs by stealing before they first run, so the
+  // timers are armed across several VPs.
+  wakeWaitersEarly(makeStealHalfPolicy());
+}
+
+TEST(TimerShardTest, WaitWokenOnAnotherVpCancelsItsTimer) {
+  // One shared queue: any VP may resume a woken TCB, so some waits cancel
+  // their timers from a VP other than the one they armed on.
+  EXPECT_GT(wakeWaitersEarly(makeGlobalFifoPolicy()), 0);
+}
+
+TEST(TimerShardTest, EarlierDeadlineCutsTheClockSleepShort) {
+  // Preemption off and a one-second tick: the clock sleeps a full second
+  // unless an arm with an earlier deadline wakes it.
+  VmConfig Config;
+  Config.NumVps = 2;
+  Config.NumPps = 2;
+  Config.EnablePreemption = false;
+  Config.PreemptTickNanos = 1'000'000'000;
+  VirtualMachine Vm(Config);
+  constexpr int Rounds = 50;
+  constexpr std::uint64_t TimeoutNanos = 5'000'000; // 5 ms
+  constexpr std::uint64_t LimitNanos = 100'000'000; // 100 ms
+  Vm.run([&]() -> AnyValue {
+    TupleSpaceRef Ts = TupleSpace::create();
+    for (int Round = 0; Round != Rounds; ++Round) {
+      // Alternate VPs so deadlines arm on each VP's timers in turn.
+      SpawnOptions Opts;
+      Opts.Vp = &Vm.vp(static_cast<unsigned>(Round) % Vm.numVps());
+      ThreadRef T = TC::forkThread(
+          [&]() -> AnyValue {
+            const std::uint64_t Start = nowNanos();
+            auto M = Ts->takeUntil(makeTuple("never", formal(0)),
+                                   Deadline::in(TimeoutNanos));
+            const std::uint64_t Elapsed = nowNanos() - Start;
+            EXPECT_FALSE(M.has_value());
+            EXPECT_GE(Elapsed, TimeoutNanos);
+            EXPECT_LT(Elapsed, LimitNanos) << "round " << Round;
+            return AnyValue();
+          },
+          Opts);
+      TC::threadWait(*T);
+    }
+    EXPECT_EQ(Ts->size(), 0u);
+    return AnyValue();
+  });
+  EXPECT_EQ(Vm.clock().pendingTimers(), 0u);
+}
+
+} // namespace

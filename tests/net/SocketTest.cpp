@@ -15,6 +15,10 @@
 #include <cstring>
 #include <string>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 namespace {
 
 using namespace sting;
@@ -200,6 +204,28 @@ TEST(SocketTest, ReadsAndWritesChargeVpCounters) {
   EXPECT_GE(S.NetAccepts, 1u);
   EXPECT_GE(S.NetReads, 1u);
   EXPECT_GE(S.NetWrites, 1u);
+}
+
+TEST(SocketTest, ConnectedSocketsDisableNagle) {
+  // Nagle plus delayed ACKs stalls small request-response frames by tens
+  // of milliseconds, so both ends of every connection set TCP_NODELAY.
+  VirtualMachine Vm;
+  IoService Io;
+  Vm.run([&]() -> AnyValue {
+    Listener L = Listener::listenOn(Io, 0);
+    Socket C = Socket::connectTo(Io, "127.0.0.1", L.port());
+    Socket A = L.accept();
+    EXPECT_TRUE(C.valid());
+    EXPECT_TRUE(A.valid());
+    for (const Socket *S : {&C, &A}) {
+      int NoDelay = 0;
+      socklen_t Len = sizeof(NoDelay);
+      EXPECT_EQ(getsockopt(S->fd(), IPPROTO_TCP, TCP_NODELAY, &NoDelay, &Len),
+                0);
+      EXPECT_NE(NoDelay, 0);
+    }
+    return AnyValue();
+  });
 }
 
 } // namespace
