@@ -95,7 +95,7 @@ void BM_PrimesChain(benchmark::State &State) {
     Count = R.as<long>();
 
     State.PauseTiming();
-    Steals += Vm.stats().Steals.load();
+    Steals += Vm.aggregateStats().StealsSucceeded;
     for (const auto &Vp : Vm.vps())
       Dispatches += Vp->stats().Dispatches;
     sting::bench::ObsHarness::instance().capture("primes_chain", Vm);

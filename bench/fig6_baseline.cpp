@@ -160,7 +160,7 @@ void BM_Stealing(benchmark::State &State) {
           TC::threadWait(*T); // delayed + stealable -> inline steal
         }
         State.counters["steals"] =
-            static_cast<double>(Vm.stats().Steals.load());
+            static_cast<double>(Vm.aggregateStats().StealsSucceeded);
       },
       baselineConfig());
   State.counters["paper_us"] = 7.7;

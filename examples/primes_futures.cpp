@@ -73,7 +73,7 @@ int runWith(PolicyFactory Policy, const char *Name, int Limit) {
       [Limit]() -> AnyValue { return AnyValue(countPrimes(Limit)); });
   std::printf("%-16s pi(%d) = %-4d  steals = %llu\n", Name, Limit,
               R.as<int>(),
-              (unsigned long long)Vm.stats().Steals.load());
+              (unsigned long long)Vm.aggregateStats().StealsSucceeded);
   return R.as<int>();
 }
 

@@ -46,11 +46,12 @@ MachineSnapshot
 snapshotMachine(VirtualMachine &Vm,
                 const std::vector<ThreadGroup *> &ExtraGroups) {
   MachineSnapshot Snap;
-  Snap.ThreadsCreated = Vm.stats().ThreadsCreated.load();
-  Snap.ThreadsDetermined = Vm.stats().ThreadsDetermined.load();
-  Snap.Steals = Vm.stats().Steals.load();
-  for (const auto &Vp : Vm.vps())
+  for (const auto &Vp : Vm.vps()) {
     Snap.Vps.push_back(Vp->stats().snapshot());
+    Snap.ThreadsCreated += Snap.Vps.back().ThreadsCreated;
+    Snap.ThreadsDetermined += Snap.Vps.back().ThreadsTerminated;
+    Snap.Steals += Snap.Vps.back().StealsSucceeded;
+  }
 
   // The machine's root group, any group whose ancestry reaches it, and
   // caller-supplied extras.

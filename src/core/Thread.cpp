@@ -69,6 +69,18 @@ std::uint64_t Schedulable::schedThreadId() const {
 // Thread
 //===----------------------------------------------------------------------===//
 
+/// Charges one thread creation or determination of \p Vm to the calling
+/// VP, or to VP 0 for callers outside the machine. VP 0's own charges are
+/// atomic too, because they share its counter with those remote ones.
+static void chargeLifecycle(VirtualMachine &Vm,
+                            obs::Counter obs::SchedStats::*Field) {
+  VirtualProcessor *Vp = currentVp();
+  if (Vp && &Vp->vm() == &Vm && Vp->index() != 0)
+    (Vp->stats().*Field).inc();
+  else
+    (Vm.vp(0).stats().*Field).incShared();
+}
+
 Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
     : Schedulable(Kind::Thread), Id(Vm.nextThreadId()), Vm(&Vm),
       Code(std::move(Code)) {
@@ -103,13 +115,7 @@ Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
   else
     Flow.store(obs::newFlowId(), std::memory_order_relaxed);
 
-  Vm.stats().ThreadsCreated.fetch_add(1, std::memory_order_relaxed);
-  if (VirtualProcessor *Vp = currentVp())
-    Vp->stats().ThreadsCreated.inc();
-  else
-    // External (non-substrate) creations — main() entering via run() —
-    // are charged to vp0 so creations still balance terminations.
-    Vm.vp(0).stats().ThreadsCreated.incShared();
+  chargeLifecycle(Vm, &obs::SchedStats::ThreadsCreated);
   STING_TRACE_EVENT(ThreadCreate, id(), 0);
 }
 
@@ -205,7 +211,7 @@ void Thread::determine(AnyValue Value, bool ViaTerminate) {
   State.store(ThreadState::Determined, std::memory_order_release);
   // Bookkeeping must be visible before any waiter wakes: joiners observe
   // stats and group membership immediately after their wakeup.
-  Vm->stats().ThreadsDetermined.fetch_add(1, std::memory_order_relaxed);
+  chargeLifecycle(*Vm, &obs::SchedStats::ThreadsTerminated);
   if (Group)
     Group->removeMember(*this);
 

@@ -227,9 +227,10 @@ private:
                                          std::memory_order_acq_rel);
   }
 
-  /// Stores \p Value, marks the thread Determined, wakes all waiters and
-  /// leaves the group. \p ViaTerminate distinguishes thread-terminate.
-  /// Called exactly once, by the thread controller.
+  /// Stores \p Value, marks the thread Determined, counts the
+  /// determination, wakes all waiters and leaves the group. \p ViaTerminate
+  /// distinguishes thread-terminate. Called exactly once, by the thread
+  /// controller or an external joiner's steal.
   void determine(AnyValue Value, bool ViaTerminate);
 
   /// Adds \p TB to the waiter chain unless already determined.
@@ -247,6 +248,9 @@ private:
   /// thread-suspend arrived while the thread was still delayed/scheduled;
   /// honored immediately after the thread is bound to a TCB.
   std::atomic<bool> SuspendOnStart{false};
+  /// The shard of Group's member list this thread sits on (set by
+  /// ThreadGroup::addMember, read by removeMember).
+  std::uint8_t GroupShard = 0;
   std::uint64_t SuspendOnStartQuantum = 0;
   std::atomic<int> Priority{0};
   std::atomic<std::uint64_t> Flow{0};

@@ -583,8 +583,6 @@ void ThreadController::runStolen(Thread &T) {
 
   --C.StealDepth;
   C.Active = Previous;
-  T.vm().stats().Steals.fetch_add(1, std::memory_order_relaxed);
-  C.vp()->stats().ThreadsTerminated.inc();
   STING_TRACE_EVENT(ThreadExit, T.id(), 1);
 
   // A terminate request aimed at the stealer may have been re-armed while
@@ -695,7 +693,6 @@ void ThreadController::exitCurrent(AnyValue Result, bool ViaTerminate) {
   T.determine(std::move(Result), ViaTerminate);
 
   VirtualProcessor &Vp = *C.vp();
-  Vp.stats().ThreadsTerminated.inc();
   STING_TRACE_EVENT(ThreadExit, T.id(), 0);
   Vp.Action = SchedAction::Exit;
   Vp.ActionTcb = &C;
@@ -707,12 +704,15 @@ void ThreadController::runToCompletion(Tcb &C) {
   Thread &T = *C.thread();
   if (T.SuspendOnStart.exchange(false, std::memory_order_acq_rel))
     C.requestSuspend(T.SuspendOnStartQuantum);
-  applyRequests(C); // suspend/terminate before the first instruction
 
   AnyValue Value;
   bool DidFail = false;
   bool ViaTerminate = false;
   try {
+    // Suspend, terminate or raise before the first instruction; inside the
+    // try, so a request that landed while the thread was being bound is
+    // handled like one delivered mid-body.
+    applyRequests(C);
     Value = T.Code();
   } catch (ThreadTerminated &E) {
     // A terminate request (or terminateSelf) unwound the whole body; the

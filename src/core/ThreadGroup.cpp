@@ -6,7 +6,9 @@
 
 #include "core/ThreadGroup.h"
 
+#include "core/Current.h"
 #include "core/ThreadController.h"
+#include "core/VirtualProcessor.h"
 
 #include <atomic>
 
@@ -37,7 +39,8 @@ ThreadGroup::ThreadGroup(ThreadGroup *Parent)
 ThreadGroup::~ThreadGroup() {
   // Members hold a reference to the group, so the group can only die after
   // every member left.
-  STING_DCHECK(Members.empty(), "destroying a group with live members");
+  for ([[maybe_unused]] const Shard &S : Shards)
+    STING_DCHECK(S.Members.empty(), "destroying a group with live members");
   GroupRegistry &R = registry();
   std::lock_guard<SpinLock> Guard(R.Lock);
   IntrusiveList<ThreadGroup, GroupRegistryTag>::erase(*this);
@@ -62,33 +65,51 @@ ThreadGroupRef ThreadGroup::create(ThreadGroup *Parent) {
 }
 
 void ThreadGroup::addMember(Thread &T) {
-  Created.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<SpinLock> Guard(Lock);
-  Members.pushBack(T);
+  VirtualProcessor *Vp = currentVp();
+  T.GroupShard = static_cast<std::uint8_t>(Vp ? Vp->index() % NumShards : 0);
+  Shard &S = Shards[T.GroupShard];
+  std::lock_guard<SpinLock> Guard(S.Lock);
+  ++S.Created;
+  S.Members.pushBack(T);
 }
 
 void ThreadGroup::removeMember(Thread &T) {
-  std::lock_guard<SpinLock> Guard(Lock);
+  Shard &S = Shards[T.GroupShard];
+  std::lock_guard<SpinLock> Guard(S.Lock);
   IntrusiveList<Thread, GroupMemberTag>::erase(T);
 }
 
 std::size_t ThreadGroup::liveCount() const {
-  std::lock_guard<SpinLock> Guard(Lock);
-  return Members.size();
+  std::size_t N = 0;
+  for (Shard &S : Shards) {
+    std::lock_guard<SpinLock> Guard(S.Lock);
+    N += S.Members.size();
+  }
+  return N;
+}
+
+std::uint64_t ThreadGroup::totalCreated() const {
+  std::uint64_t N = 0;
+  for (Shard &S : Shards) {
+    std::lock_guard<SpinLock> Guard(S.Lock);
+    N += S.Created;
+  }
+  return N;
 }
 
 std::vector<ThreadRef> ThreadGroup::threads() const {
   std::vector<ThreadRef> Snapshot;
-  std::lock_guard<SpinLock> Guard(Lock);
-  for (Thread &T : const_cast<IntrusiveList<Thread, GroupMemberTag> &>(
-           Members))
-    Snapshot.push_back(ThreadRef(&T));
+  for (Shard &S : Shards) {
+    std::lock_guard<SpinLock> Guard(S.Lock);
+    for (Thread &T : S.Members)
+      Snapshot.push_back(ThreadRef(&T));
+  }
   return Snapshot;
 }
 
 void ThreadGroup::terminateAll() {
   // Snapshot first: threadTerminate may determine members, which mutates
-  // the member list under our lock.
+  // the member lists under their shard locks.
   for (const ThreadRef &T : threads())
     ThreadController::threadTerminate(*T);
 }

@@ -14,6 +14,11 @@
 /// A child thread joins its creator's group by default, so terminating a
 /// thread's subtree is `kill-group(T.group())` — exactly the paper's idiom.
 ///
+/// Members are sharded by the VP that created them: each shard has its own
+/// lock, member list and creation count on its own cache line, so forks
+/// and exits on different VPs never touch the same group word (the group's
+/// reference count aside). Whole-group operations walk every shard.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STING_CORE_THREADGROUP_H
@@ -52,9 +57,7 @@ public:
 
   /// Total threads ever added; a profiling counter (the paper's genealogy
   /// monitoring hooks).
-  std::uint64_t totalCreated() const {
-    return Created.load(std::memory_order_relaxed);
-  }
+  std::uint64_t totalCreated() const;
 
   /// Snapshot of the live members. References keep the threads alive even
   /// if they determine concurrently.
@@ -83,14 +86,21 @@ private:
   explicit ThreadGroup(ThreadGroup *Parent);
   ~ThreadGroup();
 
+  /// Adds \p T to the shard of the calling VP (shard 0 off-VP) and
+  /// records the shard in \p T for removeMember.
   void addMember(Thread &T);
   void removeMember(Thread &T);
 
+  static constexpr unsigned NumShards = 16;
+  struct alignas(64) Shard {
+    SpinLock Lock;
+    IntrusiveList<Thread, GroupMemberTag> Members;
+    std::uint64_t Created = 0; ///< guarded by Lock
+  };
+
   std::uint64_t Id;
   ThreadGroupRef Parent;
-  mutable SpinLock Lock;
-  IntrusiveList<Thread, GroupMemberTag> Members;
-  std::atomic<std::uint64_t> Created{0};
+  mutable Shard Shards[NumShards];
 };
 
 } // namespace sting

@@ -120,6 +120,18 @@ AnyValue VirtualMachine::run(Thread::Thunk Code, const SpawnOptions &Opts) {
   return T->takeResult();
 }
 
+std::uint64_t VirtualMachine::nextThreadId() {
+  VirtualProcessor *Vp = currentVp();
+  if (!Vp || Vp->Vm != this)
+    return NextThreadId.fetch_add(1, std::memory_order_relaxed);
+  if (Vp->NextId == Vp->IdLimit) {
+    Vp->NextId = NextThreadId.fetch_add(ThreadIdBlock,
+                                        std::memory_order_relaxed);
+    Vp->IdLimit = Vp->NextId + ThreadIdBlock;
+  }
+  return Vp->NextId++;
+}
+
 obs::SchedStatsSnapshot VirtualMachine::aggregateStats() const {
   obs::SchedStatsSnapshot Total;
   for (const obs::SchedStatsSnapshot &S : perVpStats())

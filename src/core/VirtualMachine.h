@@ -97,13 +97,6 @@ struct VmConfig {
   std::size_t SamplerCapacity = 4096;
 };
 
-/// Machine-wide counters surfaced to tests and the benchmark harness.
-struct VmStats {
-  std::atomic<std::uint64_t> ThreadsCreated{0};
-  std::atomic<std::uint64_t> ThreadsDetermined{0};
-  std::atomic<std::uint64_t> Steals{0};
-};
-
 /// A first-class virtual machine.
 class VirtualMachine {
 public:
@@ -143,16 +136,16 @@ public:
 
   ThreadGroup &rootGroup() const { return *RootGroup; }
   PreemptionClock &clock() const { return *Clock; }
-  VmStats &stats() { return Stats; }
 
   /// The stall watchdog; null unless VmConfig::StallBudgetNanos was set.
   Watchdog *watchdog() const { return Dog.get(); }
 
   // --- Observability (see DESIGN.md "Observability") ----------------------
 
-  /// Sums the per-VP SchedStats blocks. Counters are monotonic and read
-  /// relaxed, so this is safe at any time; for exact balances (enqueues ==
-  /// dequeues) call it after the machine quiesces.
+  /// Sums the per-VP SchedStats blocks, the machine's only counters
+  /// (threads created, determined and stolen included). Counters are
+  /// monotonic and read relaxed, so this is safe at any time; for exact
+  /// balances (enqueues == dequeues) call it after the machine quiesces.
   obs::SchedStatsSnapshot aggregateStats() const;
 
   /// One snapshot per VP, in VP-index order.
@@ -195,9 +188,11 @@ public:
     return ShuttingDown.load(std::memory_order_acquire);
   }
 
-  std::uint64_t nextThreadId() {
-    return NextThreadId.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// A fresh thread id, unique within this machine but not in creation
+  /// order: a VP of this machine hands out ids from a block it reserved
+  /// with one shared fetch_add (ThreadIdBlock), other callers take one id
+  /// from the shared word.
+  std::uint64_t nextThreadId();
 
   /// The idle-PP eventcount (DESIGN.md section 8): PPs with no runnable VP
   /// sleep here; notifyWork advances the epoch.
@@ -222,7 +217,8 @@ private:
   EventCount IdleEc;
   std::atomic<bool> ShuttingDown{false};
   std::atomic<std::uint64_t> NextThreadId{1};
-  VmStats Stats;
+  /// Ids a VP reserves from NextThreadId at a time.
+  static constexpr std::uint64_t ThreadIdBlock = 256;
 };
 
 } // namespace sting

@@ -187,6 +187,11 @@ private:
   IntrusiveList<Tcb, TcbCacheTag> TcbCache;
   std::size_t CachedTcbs = 0;
 
+  /// This VP's reserved block of thread ids, [NextId, IdLimit); refilled
+  /// by VirtualMachine::nextThreadId. Owner-only.
+  std::uint64_t NextId = 0;
+  std::uint64_t IdLimit = 0;
+
   obs::SchedStats Stats;
   std::unique_ptr<obs::TraceBuffer> Trace;
 };

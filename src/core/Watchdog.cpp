@@ -64,17 +64,14 @@ void Watchdog::setReportHook(std::function<void(const std::string &)> Hook) {
 obs::MachineSample Watchdog::sample() const {
   obs::MachineSample S;
   S.NowNanos = nowNanos();
-  auto &Stats = const_cast<VirtualMachine &>(Vm).stats();
-  std::uint64_t Created =
-      Stats.ThreadsCreated.load(std::memory_order_relaxed);
-  std::uint64_t Determined =
-      Stats.ThreadsDetermined.load(std::memory_order_relaxed);
-  S.LiveThreads = Created > Determined ? Created - Determined : 0;
+  std::uint64_t Created = 0, Determined = 0;
   S.PendingTimers = Vm.clock().pendingTimers();
   S.Vps.reserve(Vm.numVps());
   for (const auto &Vp : Vm.vps()) {
     obs::VpSample V;
     const obs::SchedStats &St = Vp->stats();
+    Created += St.ThreadsCreated;
+    Determined += St.ThreadsTerminated;
     // Any context switch moves this sum; a frozen value means no thread
     // ran, yielded, parked or exited on this VP. IdleCalls is deliberately
     // excluded: the PP idle loop keeps polling (and incrementing it) even
@@ -85,6 +82,7 @@ obs::MachineSample Watchdog::sample() const {
     V.RunningThread = Vp->isRunningThread();
     S.Vps.push_back(V);
   }
+  S.LiveThreads = Created > Determined ? Created - Determined : 0;
   return S;
 }
 

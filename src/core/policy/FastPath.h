@@ -32,8 +32,9 @@ namespace sting::fastpath {
 /// that VP, so this is the complete owner test.
 inline bool onOwner(const VirtualProcessor &Vp) { return currentVp() == &Vp; }
 
-/// Remote-enqueue path: posts \p Item to \p Vp's mailbox and charges the
-/// target's (shared-writer) counters. The caller's reference to a Thread
+/// Remote-enqueue path: posts \p Item to \p Vp's mailbox and counts the
+/// post on the posting VP, or on the target for posters outside any VP
+/// (the same attribution as Enqueues). The caller's reference to a Thread
 /// item transfers to the mailbox exactly as it would to a ready queue.
 inline void postRemote(RemoteMailbox &Mailbox, Schedulable &Item,
                        VirtualProcessor &Vp, EnqueueReason Reason) {
@@ -41,7 +42,10 @@ inline void postRemote(RemoteMailbox &Mailbox, Schedulable &Item,
   // drain, dispatch and recycle it concurrently.
   const std::uint64_t TraceId = Item.schedThreadId();
   const bool Ring = Mailbox.post(Item);
-  Vp.stats().MailboxPosts.incShared();
+  if (VirtualProcessor *Cur = currentVp())
+    Cur->stats().MailboxPosts.inc();
+  else
+    Vp.stats().MailboxPosts.incShared();
   STING_TRACE_EVENT(MailboxPost, TraceId,
                     obs::mailboxPostPayload(Vp.index(), Ring));
   STING_TRACE_EVENT(Enqueue, TraceId,

@@ -28,9 +28,8 @@ namespace {
 
 class LocalFifoPolicy final : public PolicyManager {
 public:
-  LocalFifoPolicy(VirtualMachine &Vm,
-                  std::shared_ptr<std::atomic<unsigned>> PlacementCursor)
-      : Vm(&Vm), PlacementCursor(std::move(PlacementCursor)) {}
+  LocalFifoPolicy(VirtualMachine &Vm, unsigned VpIndex)
+      : Vm(&Vm), Cursor(VpIndex) {}
 
   Schedulable *getNextThread(VirtualProcessor &Vp) override {
     // Mailbox items entered the machine at their post time; appending them
@@ -64,9 +63,9 @@ public:
   }
 
   VirtualProcessor &selectVpForNewThread(VirtualProcessor &) override {
-    unsigned I =
-        PlacementCursor->fetch_add(1, std::memory_order_relaxed);
-    return Vm->vp(I % Vm->numVps());
+    // Only the owning VP forks through its own policy, so the round-robin
+    // cursor is a plain owner-only word.
+    return Vm->vp(Cursor++ % Vm->numVps());
   }
 
   void drain(VirtualProcessor &,
@@ -79,7 +78,9 @@ public:
 
 private:
   VirtualMachine *Vm;
-  std::shared_ptr<std::atomic<unsigned>> PlacementCursor;
+  /// Next placement, counted from this VP's own index so VPs forking at
+  /// the same time start on different targets.
+  unsigned Cursor;
   WorkStealingDeque Deque;
   RemoteMailbox Mailbox;
 };
@@ -87,9 +88,8 @@ private:
 } // namespace
 
 PolicyFactory makeLocalFifoPolicy() {
-  auto Cursor = std::make_shared<std::atomic<unsigned>>(0);
-  return [Cursor](VirtualMachine &Vm, unsigned) {
-    return std::make_unique<LocalFifoPolicy>(Vm, Cursor);
+  return [](VirtualMachine &Vm, unsigned VpIndex) {
+    return std::make_unique<LocalFifoPolicy>(Vm, VpIndex);
   };
 }
 

@@ -25,9 +25,8 @@ namespace {
 
 class PriorityPolicy final : public PolicyManager {
 public:
-  PriorityPolicy(VirtualMachine &Vm,
-                 std::shared_ptr<std::atomic<unsigned>> PlacementCursor)
-      : Vm(&Vm), PlacementCursor(std::move(PlacementCursor)) {}
+  PriorityPolicy(VirtualMachine &Vm, unsigned VpIndex)
+      : Vm(&Vm), Cursor(VpIndex) {}
 
   Schedulable *getNextThread(VirtualProcessor &) override {
     if (Size.load(std::memory_order_acquire) == 0)
@@ -70,8 +69,9 @@ public:
   }
 
   VirtualProcessor &selectVpForNewThread(VirtualProcessor &) override {
-    unsigned I = PlacementCursor->fetch_add(1, std::memory_order_relaxed);
-    return Vm->vp(I % Vm->numVps());
+    // Only the owning VP forks through its own policy, so the round-robin
+    // cursor is a plain owner-only word.
+    return Vm->vp(Cursor++ % Vm->numVps());
   }
 
   void drain(VirtualProcessor &,
@@ -85,7 +85,9 @@ public:
 
 private:
   VirtualMachine *Vm;
-  std::shared_ptr<std::atomic<unsigned>> PlacementCursor;
+  /// Next placement, counted from this VP's own index so VPs forking at
+  /// the same time start on different targets.
+  unsigned Cursor;
   SpinLock Lock;
   std::multimap<int, Schedulable *, std::greater<int>> Items;
   std::atomic<std::size_t> Size{0};
@@ -94,9 +96,8 @@ private:
 } // namespace
 
 PolicyFactory makePriorityPolicy() {
-  auto Cursor = std::make_shared<std::atomic<unsigned>>(0);
-  return [Cursor](VirtualMachine &Vm, unsigned) {
-    return std::make_unique<PriorityPolicy>(Vm, Cursor);
+  return [](VirtualMachine &Vm, unsigned VpIndex) {
+    return std::make_unique<PriorityPolicy>(Vm, VpIndex);
   };
 }
 

@@ -7,13 +7,14 @@
 /// \file
 /// Cache-line-padded scheduler counters, one block per VirtualProcessor.
 ///
-/// Nearly every counter is written only by the VP that owns the block (a VP
-/// is pinned to one OS thread for its whole life), so increments use a
-/// relaxed load/store pair instead of a lock-prefixed RMW — other threads
-/// may read a value that is one behind, never a torn one. The few counters
-/// that genuinely have remote writers (Enqueues and Wakeups can come from
-/// the clock thread or from outside the machine) fall back to fetch_add via
-/// incShared().
+/// A VP charges the events it performs to its own block (a VP is pinned to
+/// one OS thread for its whole life), so increments use a relaxed
+/// load/store pair instead of a lock-prefixed RMW — other threads may read
+/// a value that is one behind, never a torn one. Threads outside every VP
+/// (the preemption clock, callers outside the machine) have no block of
+/// their own and charge a VP with a fetch_add via incShared(). These
+/// blocks are the machine's only counters: machine totals (threads
+/// created, determined, stolen) are sums over VPs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,17 +63,24 @@ struct SchedStatsSnapshot;
 
 /// The per-VP counter block. Padded to cache-line multiples so two VPs'
 /// counters never share a line (the whole point of per-VP blocks), and
-/// internally split so the counters that remote threads bump via
-/// incShared() (Enqueues, Wakeups, MailboxPosts) live on their own line —
-/// a posting storm from sibling VPs must not invalidate the line holding
-/// the owner's dispatch-loop counters.
+/// internally split so the counters that off-VP threads charge with
+/// incShared() live on their own line: a remote increment must not
+/// invalidate the line holding the owner's dispatch-loop counters.
 struct alignas(64) SchedStats {
-  // --- Remote-written line(s): any thread may incShared() these. --------
-  Counter Enqueues;     ///< schedulables inserted into this VP's queues
-  Counter Wakeups;      ///< unparks delivered from this VP (incShared for
-                        ///< deliveries from non-VP threads, e.g. the clock)
-  Counter MailboxPosts; ///< cross-VP enqueues posted to this VP's mailbox
-                        ///< (always written by the remote producer)
+  // --- Off-VP-written line: the owner inc()s these for its own events,
+  // threads outside every VP incShared() them. An owner inc() that
+  // overlaps a remote incShared() can lose one of the two counts; the
+  // lifecycle pair is exact because VP 0, the only VP remote callers
+  // charge for it, increments it with incShared() too. ------------------
+  Counter Enqueues;     ///< schedulables this VP inserted into a queue
+                        ///< (off-VP inserts: charged to the target)
+  Counter Wakeups;      ///< unparks delivered from this VP (off-VP
+                        ///< deliveries, e.g. the clock: the target)
+  Counter MailboxPosts; ///< cross-VP enqueues this VP posted to a mailbox
+                        ///< (off-VP posts: charged to the target)
+  Counter ThreadsCreated;    ///< threads this VP created (off-VP: VP 0)
+  Counter ThreadsTerminated; ///< threads determined on this VP, however
+                             ///< they ended (off-VP: VP 0)
 
   // --- Owner-written lines: only the owning VP's OS thread writes. ------
   alignas(64) Counter Dequeues; ///< schedulables popped by this VP's
@@ -112,9 +120,7 @@ struct alignas(64) SchedStats {
   Counter PreemptsDelivered; ///< checkpoint consumed a flag and yielded
   Counter PreemptsDeferred;  ///< flag seen while preemption was disabled
 
-  // Thread lifecycle and blocking, attributed to the VP that ran the op.
-  Counter ThreadsCreated;
-  Counter ThreadsTerminated;
+  // Blocking, attributed to the VP that ran the op.
   Counter Blocks; ///< parkCurrent entries (intent to block)
 
   // Network subsystem (src/net), attributed to the VP whose thread ran the

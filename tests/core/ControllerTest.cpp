@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <stdexcept>
 
 namespace {
 
@@ -188,6 +189,41 @@ TEST(ControllerTest, TerminateSuspendedThread) {
   EXPECT_TRUE(TC::threadTerminate(*T));
   T->join();
   EXPECT_TRUE(T->wasTerminated());
+}
+
+TEST(ControllerTest, TerminateBeforeFirstInstructionDeterminesTheThread) {
+  // A thread suspended before it ever ran parks in its first controller
+  // call, ahead of its body. A terminate or raise delivered there must
+  // determine the thread, not escape its entry frame.
+  VirtualMachine Vm(VmConfig{.NumVps = 1, .NumPps = 1});
+  std::atomic<int> BodiesRun{0};
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    SpawnOptions Opts;
+    Opts.Stealable = false;
+    auto SuspendedOnStart = [&] {
+      ThreadRef T = TC::forkThread(
+          [&]() -> AnyValue {
+            BodiesRun.fetch_add(1);
+            return AnyValue();
+          },
+          Opts);
+      TC::threadSuspend(*T, /*QuantumNanos=*/0); // still scheduled
+      while (!T->isUserBlocked())
+        TC::yieldProcessor();
+      return T;
+    };
+    ThreadRef Killed = SuspendedOnStart();
+    TC::threadTerminate(*Killed, AnyValue(3));
+    TC::threadWait(*Killed);
+    ThreadRef Raised = SuspendedOnStart();
+    TC::raiseIn(*Raised,
+                std::make_exception_ptr(std::runtime_error("raised")));
+    TC::threadWait(*Raised);
+    return AnyValue(Killed->wasTerminated() &&
+                    Killed->result().as<int>() == 3 && Raised->failed());
+  });
+  EXPECT_TRUE(V.as<bool>());
+  EXPECT_EQ(BodiesRun.load(), 0);
 }
 
 TEST(ControllerTest, TerminateDeterminedThreadRejected) {

@@ -9,9 +9,12 @@
 #include "core/Current.h"
 #include "core/ThreadController.h"
 #include "core/VirtualMachine.h"
+#include "core/VirtualProcessor.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <set>
+#include <vector>
 
 namespace {
 
@@ -111,6 +114,72 @@ TEST(GroupTest, TotalCreatedCounts) {
     return AnyValue(G->totalCreated());
   });
   EXPECT_EQ(V.as<std::uint64_t>(), 3u);
+}
+
+TEST(GroupTest, MembersForkedOnEveryVpAreListed) {
+  // Members are kept per creating VP; every group operation must still see
+  // the whole group, including members forked from outside the machine.
+  constexpr unsigned NumVps = 4;
+  constexpr int PerCreator = 8;
+  constexpr std::size_t Total = (NumVps + 1) * PerCreator;
+  VirtualMachine Vm(VmConfig{.NumVps = NumVps, .NumPps = 2});
+  ThreadGroupRef G = ThreadGroup::create();
+  SpawnOptions MemberOpts;
+  MemberOpts.Group = G.get();
+  auto Spin = []() -> AnyValue {
+    for (;;)
+      TC::yieldProcessor();
+  };
+
+  // Each forker hands its members over in its own slot, not in its result:
+  // a member's parent is its forker, so a result holding the members would
+  // form a reference cycle.
+  std::vector<std::vector<ThreadRef>> Forked(NumVps);
+  std::vector<ThreadRef> Forkers;
+  for (unsigned I = 0; I != NumVps; ++I) {
+    SpawnOptions Opts;
+    Opts.Vp = &Vm.vp(I);
+    Forkers.push_back(Vm.fork(
+        [&, I]() -> AnyValue {
+          bool OnOwnVp = true;
+          for (int K = 0; K != PerCreator; ++K) {
+            OnOwnVp &= currentVp()->index() == I;
+            Forked[I].push_back(TC::forkThread(Spin, MemberOpts));
+          }
+          return AnyValue(OnOwnVp);
+        },
+        Opts));
+  }
+  std::vector<ThreadRef> Members;
+  for (int K = 0; K != PerCreator; ++K)
+    Members.push_back(Vm.fork(Spin, MemberOpts));
+  for (unsigned I = 0; I != NumVps; ++I) {
+    Forkers[I]->join();
+    EXPECT_TRUE(Forkers[I]->valueAs<bool>()) << "forker " << I
+                                             << " left its VP";
+    Members.insert(Members.end(), Forked[I].begin(), Forked[I].end());
+  }
+  ASSERT_EQ(Members.size(), Total);
+
+  EXPECT_EQ(G->liveCount(), Total);
+  EXPECT_EQ(G->totalCreated(), Total);
+  std::vector<ThreadRef> Listed = G->threads();
+  std::set<Thread *> ListedSet;
+  for (const ThreadRef &T : Listed)
+    ListedSet.insert(T.get());
+  EXPECT_EQ(Listed.size(), Total);
+  for (const ThreadRef &T : Members)
+    EXPECT_EQ(ListedSet.count(T.get()), 1u) << "thread " << T->id();
+  Listed.clear();
+
+  G->terminateAll();
+  for (ThreadRef &T : Members) {
+    T->join();
+    EXPECT_TRUE(T->wasTerminated()) << "thread " << T->id();
+  }
+  EXPECT_EQ(G->liveCount(), 0u);
+  EXPECT_TRUE(G->threads().empty());
+  EXPECT_EQ(G->totalCreated(), Total);
 }
 
 TEST(GroupTest, ThreadsSnapshotHoldsReferences) {

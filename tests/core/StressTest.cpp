@@ -143,7 +143,7 @@ TEST_P(SchedulerStressTest, RandomOpMixDrainsCleanly) {
 
   const long Packed = V.as<long>();
   EXPECT_EQ(Packed & 0xffffffff, Sum.load()) << Case.Name;
-  EXPECT_GE(Vm.stats().ThreadsDetermined.load(),
+  EXPECT_GE(Vm.aggregateStats().ThreadsTerminated,
             static_cast<std::uint64_t>(NumThreads));
 }
 

@@ -15,7 +15,9 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace {
 
@@ -181,8 +183,99 @@ TEST(ThreadTest, StatsCountCreationsAndDeterminations) {
   VirtualMachine Vm;
   ThreadRef T = Vm.fork([]() -> AnyValue { return AnyValue(); });
   T->join();
-  EXPECT_GE(Vm.stats().ThreadsCreated.load(), 1u);
-  EXPECT_GE(Vm.stats().ThreadsDetermined.load(), 1u);
+  EXPECT_GE(Vm.aggregateStats().ThreadsCreated, 1u);
+  EXPECT_GE(Vm.aggregateStats().ThreadsTerminated, 1u);
+}
+
+TEST(ThreadTest, CreatedEqualsDeterminedOnEveryPath) {
+  // Thread::determine has five callers. Each must charge exactly one
+  // determination, so the per-VP sums balance once the machine is quiet.
+  VirtualMachine Vm;
+  using TC = ThreadController;
+  auto ExpectBalanced = [&](const char *Path) {
+    obs::SchedStatsSnapshot S = Vm.aggregateStats();
+    EXPECT_EQ(S.ThreadsCreated, S.ThreadsTerminated) << Path;
+  };
+  auto Nop = []() -> AnyValue { return AnyValue(); };
+
+  // 1. The thunk returns on its own TCB (exitCurrent).
+  Vm.fork(Nop)->join();
+  ExpectBalanced("run to completion");
+
+  // 2. A sting thread touches a delayed thread and steals it (runStolen).
+  Vm.run([&]() -> AnyValue {
+    TC::threadWait(*TC::createThread(Nop));
+    return AnyValue();
+  });
+  ExpectBalanced("steal on a TCB");
+
+  // 3. An external joiner steals a delayed thread (Thread::join).
+  Vm.createThread(Nop)->join();
+  ExpectBalanced("external join steal");
+
+  // 4. A thread terminated before it ever ran, from inside and outside.
+  Vm.run([&]() -> AnyValue {
+    TC::threadTerminate(*TC::createThread(Nop));
+    return AnyValue();
+  });
+  TC::threadTerminate(*Vm.createThread(Nop));
+  ExpectBalanced("terminate before start");
+
+  // 5. An exception raised in a thread before it ever ran.
+  auto Boom = std::make_exception_ptr(std::runtime_error("boom"));
+  Vm.run([&]() -> AnyValue {
+    TC::raiseIn(*TC::createThread(Nop), Boom);
+    return AnyValue();
+  });
+  TC::raiseIn(*Vm.createThread(Nop), Boom);
+  ExpectBalanced("raise before start");
+
+  EXPECT_GE(Vm.aggregateStats().ThreadsCreated, 10u);
+}
+
+TEST(ThreadTest, IdsAreUniqueAcrossVps) {
+  // VPs hand out ids from per-VP blocks and outside callers take single
+  // ids; either way no two threads of one machine share an id.
+  constexpr unsigned NumVps = 4;
+  constexpr int PerVp = 1000;
+  VirtualMachine Vm(VmConfig{.NumVps = NumVps, .NumPps = 2});
+  std::vector<ThreadRef> Forkers;
+  for (unsigned I = 0; I != NumVps; ++I) {
+    SpawnOptions Opts;
+    Opts.Vp = &Vm.vp(I);
+    Forkers.push_back(Vm.fork(
+        [I]() -> AnyValue {
+          std::vector<ThreadRef> Kids;
+          std::vector<std::uint64_t> Ids;
+          bool OnOwnVp = true;
+          for (int K = 0; K != PerVp; ++K) {
+            OnOwnVp &= currentVp()->index() == I;
+            Kids.push_back(ThreadController::forkThread(
+                []() -> AnyValue { return AnyValue(); }));
+            Ids.push_back(Kids.back()->id());
+          }
+          for (const ThreadRef &T : Kids)
+            ThreadController::threadWait(*T);
+          return AnyValue(OnOwnVp ? Ids : std::vector<std::uint64_t>());
+        },
+        Opts));
+  }
+  std::vector<std::uint64_t> All;
+  for (int K = 0; K != 100; ++K) {
+    ThreadRef T = Vm.fork([]() -> AnyValue { return AnyValue(); });
+    All.push_back(T->id());
+    T->join();
+  }
+  for (ThreadRef &D : Forkers) {
+    D->join();
+    const auto &Ids = D->valueAs<std::vector<std::uint64_t>>();
+    EXPECT_EQ(Ids.size(), static_cast<std::size_t>(PerVp))
+        << "forker left its VP";
+    All.insert(All.end(), Ids.begin(), Ids.end());
+  }
+  std::set<std::uint64_t> Distinct(All.begin(), All.end());
+  EXPECT_EQ(Distinct.size(), All.size());
+  EXPECT_EQ(Distinct.count(0), 0u);
 }
 
 TEST(ThreadTest, EveryThreadCarriesANonzeroFlowFromBirth) {

@@ -45,7 +45,7 @@ TEST(FutureTest, DelayedFutureStolenOnTouch) {
     return AnyValue(Result);
   });
   EXPECT_EQ(V.as<int>(), 11);
-  EXPECT_GE(Vm.stats().Steals.load(), 1u);
+  EXPECT_GE(Vm.aggregateStats().StealsSucceeded, 1u);
 }
 
 TEST(FutureTest, DelayedFutureCanBeScheduled) {

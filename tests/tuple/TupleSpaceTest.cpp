@@ -183,7 +183,7 @@ TEST(TupleSpaceTest, SpawnedScheduledThreadIsStolenByMatcher) {
     return AnyValue(M.binding(0).asFixnum());
   });
   EXPECT_EQ(V.as<std::int64_t>(), 7);
-  EXPECT_GE(Vm.stats().Steals.load(), 1u);
+  EXPECT_GE(Vm.aggregateStats().StealsSucceeded, 1u);
 }
 
 TEST(TupleSpaceTest, HeapValuesEscapeOnPut) {
