@@ -121,6 +121,16 @@ Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
 
 Thread::~Thread() {
   STING_DCHECK(!Waiters, "destroying a thread that still has waiters");
+  if (state() == ThreadState::Determined)
+    return;
+  // Dropped before it ever determined (never demanded, stolen or
+  // terminated): count it terminated by determine()'s rule, so created ==
+  // terminated still holds, and leave the group. A machine's teardown
+  // drops the threads still queued on it; its counters are past use then.
+  if (!Vm->isShuttingDown())
+    chargeLifecycle(*Vm, &obs::SchedStats::ThreadsTerminated);
+  if (Group)
+    Group->removeMember(*this);
 }
 
 ThreadRef Thread::create(VirtualMachine &Vm, Thunk Code,

@@ -8,7 +8,9 @@
 /// The paper's central abstraction (section 3.1): a thread is a first-class
 /// non-strict data structure encapsulating a thunk, state information,
 /// genealogy and a chain of waiters. Threads may be passed around, stored
-/// in data structures (including tuples), and outlive their creators.
+/// in data structures (including tuples), and outlive their creators. A
+/// thread dropped before it determined is counted terminated on its
+/// machine, so such a thread must not outlive the machine.
 ///
 /// The state machine is exactly the paper's:
 ///

@@ -101,8 +101,11 @@ std::vector<ThreadRef> ThreadGroup::threads() const {
   std::vector<ThreadRef> Snapshot;
   for (Shard &S : Shards) {
     std::lock_guard<SpinLock> Guard(S.Lock);
+    // A member whose last reference is gone is leaving from its
+    // destructor, blocked on this lock; skip it rather than resurrect it.
     for (Thread &T : S.Members)
-      Snapshot.push_back(ThreadRef(&T));
+      if (T.retainIfAlive())
+        Snapshot.push_back(ThreadRef::adopt(&T));
   }
   return Snapshot;
 }

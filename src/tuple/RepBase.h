@@ -30,8 +30,8 @@ class TupleSpaceRepBase : public gc::RootSource {
 public:
   /// \p Stats outlives the representation (it is a member of the owning
   /// TupleSpace, declared before Impl); representations charge Blocks,
-  /// Handoffs and Wakeups to it directly.
-  explicit TupleSpaceRepBase(TupleSpaceStats &Stats) : Stats(Stats) {}
+  /// Handoffs, Wakeups and PooledEntries to the calling VP's slot.
+  explicit TupleSpaceRepBase(PerVpTupleStats &Stats) : Stats(Stats) {}
   virtual ~TupleSpaceRepBase() = default;
 
   virtual void put(Tuple T) = 0;
@@ -63,15 +63,15 @@ public:
   }
 
 protected:
-  TupleSpaceStats &Stats;
+  PerVpTupleStats &Stats;
 };
 
 /// The general two-hash-table representation (TupleSpace.cpp).
-std::unique_ptr<TupleSpaceRepBase> makeHashedRep(TupleSpaceStats &Stats);
+std::unique_ptr<TupleSpaceRepBase> makeHashedRep(PerVpTupleStats &Stats);
 
 /// Specialized representations (Specialize.cpp).
 std::unique_ptr<TupleSpaceRepBase> makeSpecializedRep(TupleSpaceRep Rep,
-                                                      TupleSpaceStats &Stats);
+                                                      PerVpTupleStats &Stats);
 
 /// Shared helper: number of formals referenced by \p Template (max index
 /// + 1); also validates that formals appear only in templates.

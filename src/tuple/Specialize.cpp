@@ -136,8 +136,9 @@ protected:
       return true;
     });
     if (Deliveries) {
-      Stats.Handoffs.fetch_add(Deliveries, std::memory_order_relaxed);
-      Stats.Wakeups.fetch_add(Deliveries, std::memory_order_relaxed);
+      TupleStatsSlot &S = Stats.local();
+      S.Handoffs.fetch_add(Deliveries, std::memory_order_relaxed);
+      S.Wakeups.fetch_add(Deliveries, std::memory_order_relaxed);
       STING_TRACE_EVENT(TupleHandoff,
                         currentThread() ? currentThread()->id() : 0,
                         Deliveries);
@@ -202,7 +203,7 @@ public:
         return std::nullopt;
       }
 
-      Stats.Blocks.fetch_add(1, std::memory_order_relaxed);
+      Stats.local().Blocks.fetch_add(1, std::memory_order_relaxed);
       for (;;) {
         if (STING_CHAOS_FIRE(PreemptPoint)) {
           STING_TRACE_EVENT(ChaosInject,
@@ -339,7 +340,7 @@ private:
 
 class BagRep : public HandoffSingletonRep {
 public:
-  BagRep(TupleSpaceStats &Stats, bool Dedupe)
+  BagRep(PerVpTupleStats &Stats, bool Dedupe)
       : HandoffSingletonRep(Stats), Dedupe(Dedupe) {}
 
   void put(Tuple T) override {
@@ -567,7 +568,7 @@ private:
 } // namespace
 
 std::unique_ptr<detail::TupleSpaceRepBase>
-detail::makeSpecializedRep(TupleSpaceRep Rep, TupleSpaceStats &Stats) {
+detail::makeSpecializedRep(TupleSpaceRep Rep, PerVpTupleStats &Stats) {
   switch (Rep) {
   case TupleSpaceRep::Queue:
     return std::make_unique<QueueRep>(Stats);

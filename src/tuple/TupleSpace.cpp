@@ -259,7 +259,7 @@ enum class EntryMatch {
 
 class HashedRep final : public TupleSpaceRepBase {
 public:
-  explicit HashedRep(TupleSpaceStats &Stats) : TupleSpaceRepBase(Stats) {}
+  explicit HashedRep(PerVpTupleStats &Stats) : TupleSpaceRepBase(Stats) {}
 
   ~HashedRep() override {
     // Proxies ought to be retracted before the space dies (the shard
@@ -539,7 +539,7 @@ private:
   }
 
   void noteBlocked(std::uint32_t Payload) {
-    Stats.Blocks.fetch_add(1, std::memory_order_relaxed);
+    Stats.local().Blocks.fetch_add(1, std::memory_order_relaxed);
     STING_TRACE_EVENT(TupleBlock, selfId(), Payload);
   }
 
@@ -601,7 +601,7 @@ private:
       FreeList = E->NextFree;
       return E;
     }
-    Stats.PooledEntries.fetch_add(1, std::memory_order_relaxed);
+    Stats.local().PooledEntries.fetch_add(1, std::memory_order_relaxed);
     return Pool.emplace_back(std::make_unique<Entry>(*this)).get();
   }
 
@@ -790,14 +790,16 @@ private:
     completeProxies(Wakes);
   }
 
+  /// Every delivery is also a wake, so \p Deliveries <= \p Wakes.
   void chargeDeposit(std::uint32_t Deliveries, std::uint32_t Wakes) {
-    if (Deliveries) {
-      Stats.Handoffs.fetch_add(Deliveries, std::memory_order_relaxed);
-      STING_TRACE_EVENT(TupleHandoff, selfId(), Deliveries);
-    }
     if (!Wakes)
       return;
-    Stats.Wakeups.fetch_add(Wakes, std::memory_order_relaxed);
+    TupleStatsSlot &S = Stats.local();
+    if (Deliveries) {
+      S.Handoffs.fetch_add(Deliveries, std::memory_order_relaxed);
+      STING_TRACE_EVENT(TupleHandoff, selfId(), Deliveries);
+    }
+    S.Wakeups.fetch_add(Wakes, std::memory_order_relaxed);
     if (VirtualProcessor *Vp = currentVp()) {
       Vp->stats().TupleHandoffs.add(Deliveries);
       Vp->stats().TupleWakeups.add(Wakes);
@@ -1248,7 +1250,7 @@ void Entry::release() {
 } // namespace
 
 std::unique_ptr<detail::TupleSpaceRepBase>
-detail::makeHashedRep(TupleSpaceStats &Stats) {
+detail::makeHashedRep(PerVpTupleStats &Stats) {
   return std::make_unique<HashedRep>(Stats);
 }
 
@@ -1270,6 +1272,11 @@ void adoptMatchFlow(const Match &M) {
 }
 
 } // namespace
+
+TupleStatsSlot &PerVpTupleStats::local() {
+  VirtualProcessor *Vp = currentVp();
+  return Slots[Vp ? Vp->index() % NumVpSlots : NumVpSlots];
+}
 
 TupleSpace::TupleSpace(TupleSpaceRep Rep, gc::GlobalHeap &Heap)
     : Rep(Rep), Heap(&Heap) {
@@ -1344,7 +1351,7 @@ void TupleSpace::put(Tuple T) {
     STING_CHECK(!F.isFormal() && !F.isThunk(),
                 "put tuple may not contain formals or thunks");
   prepare(T);
-  Stats.Puts.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Puts.fetch_add(1, std::memory_order_relaxed);
   STING_TRACE_EVENT(TuplePut, currentThread() ? currentThread()->id() : 0,
                     static_cast<std::uint32_t>(T.size()));
   Impl->put(std::move(T));
@@ -1353,7 +1360,7 @@ void TupleSpace::put(Tuple T) {
 std::vector<ThreadRef> TupleSpace::spawn(Tuple T) {
   STING_CHECK(Rep == TupleSpaceRep::Hashed,
               "spawn requires the general representation");
-  Stats.Spawns.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Spawns.fetch_add(1, std::memory_order_relaxed);
   std::vector<ThreadRef> Forked;
   for (Field &F : T) {
     STING_CHECK(!F.isFormal(), "spawn tuple may not contain formals");
@@ -1377,7 +1384,7 @@ std::vector<ThreadRef> TupleSpace::spawn(Tuple T) {
 
 Match TupleSpace::read(Tuple Template) {
   prepare(Template);
-  Stats.Reads.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Reads.fetch_add(1, std::memory_order_relaxed);
   STING_TRACE_EVENT(TupleRead, currentThread() ? currentThread()->id() : 0,
                     static_cast<std::uint32_t>(Template.size()));
   Match M = Impl->match(std::move(Template), /*Remove=*/false);
@@ -1387,7 +1394,7 @@ Match TupleSpace::read(Tuple Template) {
 
 Match TupleSpace::take(Tuple Template) {
   prepare(Template);
-  Stats.Takes.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Takes.fetch_add(1, std::memory_order_relaxed);
   STING_TRACE_EVENT(TupleTake, currentThread() ? currentThread()->id() : 0,
                     static_cast<std::uint32_t>(Template.size()));
   Match M = Impl->match(std::move(Template), /*Remove=*/true);
@@ -1397,7 +1404,7 @@ Match TupleSpace::take(Tuple Template) {
 
 std::optional<Match> TupleSpace::readUntil(Tuple Template, Deadline D) {
   prepare(Template);
-  Stats.Reads.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Reads.fetch_add(1, std::memory_order_relaxed);
   STING_TRACE_EVENT(TupleRead, currentThread() ? currentThread()->id() : 0,
                     static_cast<std::uint32_t>(Template.size()));
   auto M = Impl->matchUntil(Template, /*Remove=*/false, D);
@@ -1408,7 +1415,7 @@ std::optional<Match> TupleSpace::readUntil(Tuple Template, Deadline D) {
 
 std::optional<Match> TupleSpace::takeUntil(Tuple Template, Deadline D) {
   prepare(Template);
-  Stats.Takes.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Takes.fetch_add(1, std::memory_order_relaxed);
   STING_TRACE_EVENT(TupleTake, currentThread() ? currentThread()->id() : 0,
                     static_cast<std::uint32_t>(Template.size()));
   auto M = Impl->matchUntil(Template, /*Remove=*/true, D);
@@ -1420,7 +1427,7 @@ std::optional<Match> TupleSpace::takeUntil(Tuple Template, Deadline D) {
 std::optional<Match> TupleSpace::tryRead(Tuple Template) {
   prepare(Template);
   // Attempts are counted like the blocking variants (see TupleSpaceStats).
-  Stats.Reads.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Reads.fetch_add(1, std::memory_order_relaxed);
   auto M = Impl->tryMatch(std::move(Template), /*Remove=*/false);
   if (M)
     adoptMatchFlow(*M);
@@ -1429,7 +1436,7 @@ std::optional<Match> TupleSpace::tryRead(Tuple Template) {
 
 std::optional<Match> TupleSpace::tryTake(Tuple Template) {
   prepare(Template);
-  Stats.Takes.fetch_add(1, std::memory_order_relaxed);
+  Stats.local().Takes.fetch_add(1, std::memory_order_relaxed);
   auto M = Impl->tryMatch(std::move(Template), /*Remove=*/true);
   if (M)
     adoptMatchFlow(*M);
@@ -1443,7 +1450,8 @@ bool TupleSpace::registerProxy(std::uint64_t Id, Tuple Template, bool Remove,
   for (const Field &F : Template)
     STING_CHECK(!F.isThunk(), "proxy template may not contain thunks");
   prepare(Template);
-  (Remove ? Stats.Takes : Stats.Reads).fetch_add(1, std::memory_order_relaxed);
+  TupleStatsSlot &S = Stats.local();
+  (Remove ? S.Takes : S.Reads).fetch_add(1, std::memory_order_relaxed);
   return Impl->registerProxy(Id, std::move(Template), Remove,
                              std::move(Deliver));
 }

@@ -73,10 +73,11 @@ struct TupleOpsProfile {
 /// \returns the most specialized representation consistent with \p Profile.
 TupleSpaceRep chooseRepresentation(const TupleOpsProfile &Profile);
 
-/// Operation counters for tests and benchmarks. Puts/Reads/Takes count
-/// *attempts* (blocking, timed and try variants alike), not successes;
-/// Blocks counts the episodes where a match had to wait.
-struct TupleSpaceStats {
+/// One slot of a space's operation counters: exactly one cache line.
+/// Puts/Reads/Takes count *attempts* (blocking, timed and try variants
+/// alike), not successes; Blocks counts the episodes where a match had to
+/// wait.
+struct alignas(64) TupleStatsSlot {
   std::atomic<std::uint64_t> Puts{0};
   std::atomic<std::uint64_t> Reads{0};
   std::atomic<std::uint64_t> Takes{0};
@@ -92,6 +93,60 @@ struct TupleSpaceStats {
   /// or recycled. Bounded by peak residency plus one TupleEntryCacheCap
   /// per VP cache (DESIGN.md §12.3).
   std::atomic<std::uint64_t> PooledEntries{0};
+};
+static_assert(sizeof(TupleStatsSlot) == 64, "a slot is one cache line");
+
+/// A space's counters, one slot per VP (DESIGN.md §12.3), so no tuple
+/// operation writes a line another VP writes. VP i charges slot i % 16;
+/// callers off a VP share the last slot. VPs of two machines, or past the
+/// 16th, may share a slot, so charges are relaxed fetch_adds.
+class PerVpTupleStats {
+public:
+  static constexpr std::size_t NumVpSlots = 16;
+
+  /// The calling VP's slot.
+  TupleStatsSlot &local();
+
+private:
+  friend class TupleSpaceStats;
+  TupleStatsSlot Slots[NumVpSlots + 1];
+};
+// Line-aligned, hence whole lines long: a member of this type shares no
+// cache line with the members declared around it.
+static_assert(alignof(PerVpTupleStats) == 64);
+
+/// Read-only view of a space's counters. Each field's load() sums every
+/// slot, so a total may lag a concurrent writer, as any relaxed load may.
+class TupleSpaceStats {
+public:
+  class Total {
+  public:
+    std::uint64_t
+    load(std::memory_order Order = std::memory_order_seq_cst) const {
+      std::uint64_t Sum = 0;
+      for (const TupleStatsSlot &S : Owner->Slots)
+        Sum += (S.*Field).load(Order);
+      return Sum;
+    }
+
+  private:
+    friend class TupleSpaceStats;
+    using FieldPtr = std::atomic<std::uint64_t> TupleStatsSlot::*;
+    Total(const PerVpTupleStats &Owner, FieldPtr Field)
+        : Owner(&Owner), Field(Field) {}
+    const PerVpTupleStats *Owner;
+    FieldPtr Field;
+  };
+
+  explicit TupleSpaceStats(const PerVpTupleStats &S)
+      : Puts(S, &TupleStatsSlot::Puts), Reads(S, &TupleStatsSlot::Reads),
+        Takes(S, &TupleStatsSlot::Takes), Blocks(S, &TupleStatsSlot::Blocks),
+        Spawns(S, &TupleStatsSlot::Spawns),
+        Handoffs(S, &TupleStatsSlot::Handoffs),
+        Wakeups(S, &TupleStatsSlot::Wakeups),
+        PooledEntries(S, &TupleStatsSlot::PooledEntries) {}
+
+  Total Puts, Reads, Takes, Blocks, Spawns, Handoffs, Wakeups, PooledEntries;
 };
 
 /// Most recycled entries one VP's cache in the hashed representation
@@ -119,7 +174,8 @@ public:
 
   TupleSpaceRep representation() const { return Rep; }
   gc::GlobalHeap &heap() const { return *Heap; }
-  const TupleSpaceStats &stats() const { return Stats; }
+  /// The operation counters, summed over the per-VP slots on each load.
+  TupleSpaceStats stats() const { return TupleSpaceStats(Stats); }
 
   // --- Operations (invariant over representation) -------------------------
 
@@ -191,9 +247,11 @@ private:
   /// Interns pending text and escapes young values in place.
   void prepare(Tuple &T);
 
+  // Every operation reads Rep, Heap and Impl and writes a slot of Stats,
+  // which keeps its slots on lines of their own.
   TupleSpaceRep Rep;
   gc::GlobalHeap *Heap;
-  TupleSpaceStats Stats; ///< before Impl: representations keep a reference
+  PerVpTupleStats Stats; ///< before Impl: representations keep a reference
   std::unique_ptr<detail::TupleSpaceRepBase> Impl;
 };
 

@@ -116,6 +116,21 @@ TEST(GroupTest, TotalCreatedCounts) {
   EXPECT_EQ(V.as<std::uint64_t>(), 3u);
 }
 
+TEST(GroupTest, DroppedDelayedThreadLeavesItsGroup) {
+  // A delayed thread that is never demanded, stolen or terminated never
+  // determines; dropping it must still take it out of its group.
+  VirtualMachine Vm;
+  ThreadGroupRef G = ThreadGroup::create();
+  SpawnOptions Opts;
+  Opts.Group = G.get();
+  ThreadRef T = Vm.createThread([]() -> AnyValue { return AnyValue(); }, Opts);
+  EXPECT_EQ(G->liveCount(), 1u);
+  T.reset();
+  EXPECT_EQ(G->liveCount(), 0u);
+  EXPECT_TRUE(G->threads().empty());
+  EXPECT_EQ(G->totalCreated(), 1u);
+}
+
 TEST(GroupTest, MembersForkedOnEveryVpAreListed) {
   // Members are kept per creating VP; every group operation must still see
   // the whole group, including members forked from outside the machine.

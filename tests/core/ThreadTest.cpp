@@ -188,7 +188,8 @@ TEST(ThreadTest, StatsCountCreationsAndDeterminations) {
 }
 
 TEST(ThreadTest, CreatedEqualsDeterminedOnEveryPath) {
-  // Thread::determine has five callers. Each must charge exactly one
+  // Thread::determine has five callers, and a thread dropped before it
+  // ever ran never determines. Each path must charge exactly one
   // determination, so the per-VP sums balance once the machine is quiet.
   VirtualMachine Vm;
   using TC = ThreadController;
@@ -230,7 +231,15 @@ TEST(ThreadTest, CreatedEqualsDeterminedOnEveryPath) {
   TC::raiseIn(*Vm.createThread(Nop), Boom);
   ExpectBalanced("raise before start");
 
-  EXPECT_GE(Vm.aggregateStats().ThreadsCreated, 10u);
+  // 6. A delayed thread dropped before it ever ran, inside and outside.
+  Vm.run([&]() -> AnyValue {
+    (void)TC::createThread(Nop);
+    return AnyValue();
+  });
+  (void)Vm.createThread(Nop);
+  ExpectBalanced("dropped before start");
+
+  EXPECT_GE(Vm.aggregateStats().ThreadsCreated, 12u);
 }
 
 TEST(ThreadTest, IdsAreUniqueAcrossVps) {

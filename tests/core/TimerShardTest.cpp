@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Current.h"
 #include "core/ThreadController.h"
 #include "core/VirtualMachine.h"
 #include "support/Clock.h"
@@ -21,6 +22,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -31,18 +33,16 @@ using TC = ThreadController;
 constexpr std::uint64_t ShortNanos = 20'000;        // 20 us
 constexpr std::uint64_t LongNanos = 10'000'000'000; // 10 s (never reached)
 
-/// Rounds of timed ParkList waits on a 4-VP machine under \p Policy, most
-/// of them woken long before their deadline. \returns how many waits
-/// resumed on a VP other than the one they parked (and armed) on.
-int wakeWaitersEarly(PolicyFactory Policy) {
+/// Rounds of timed ParkList waits on a 4-VP machine under steal-half, most
+/// of them woken long before their deadline.
+void wakeWaitersEarly() {
   VmConfig Config;
   Config.NumVps = 4;
   Config.NumPps = 4;
-  Config.Policy = std::move(Policy);
+  Config.Policy = makeStealHalfPolicy();
   VirtualMachine Vm(Config);
   constexpr int Rounds = 20;
   constexpr int Waiters = 32;
-  std::atomic<int> Migrated{0};
   Vm.run([&]() -> AnyValue {
     for (int Round = 0; Round != Rounds; ++Round) {
       ParkList P;
@@ -55,12 +55,9 @@ int wakeWaitersEarly(PolicyFactory Policy) {
         Opts.Vp = &Vm.vp(0);
         Threads.push_back(TC::forkThread(
             [&, Short]() -> AnyValue {
-              VirtualProcessor *Armed = currentVp();
               WaitResult R = P.awaitUntil(
                   [&] { return Go.load(std::memory_order_acquire); }, &P,
                   Deadline::in(Short ? ShortNanos : LongNanos));
-              if (currentVp() != Armed)
-                Migrated.fetch_add(1, std::memory_order_relaxed);
               if (R == WaitResult::Ready) {
                 Ready.fetch_add(1, std::memory_order_relaxed);
               } else {
@@ -88,20 +85,94 @@ int wakeWaitersEarly(PolicyFactory Policy) {
     return AnyValue();
   });
   EXPECT_EQ(Vm.clock().pendingTimers(), 0u);
-  return Migrated.load();
+}
+
+/// Spins on the OS thread, keeping the caller's VP: a sting yield would let
+/// the VP run something else.
+template <typename Pred> void holdVpUntil(Pred Done) {
+  while (!Done())
+    std::this_thread::yield();
 }
 
 TEST(TimerShardTest, StealHalfWaitsWokenEarlyLeaveNoTimers) {
   // Steal-half keeps a woken TCB on its VP's private queue; the threads
   // still spread over the VPs by stealing before they first run, so the
   // timers are armed across several VPs.
-  wakeWaitersEarly(makeStealHalfPolicy());
+  wakeWaitersEarly();
 }
 
 TEST(TimerShardTest, WaitWokenOnAnotherVpCancelsItsTimer) {
-  // One shared queue: any VP may resume a woken TCB, so some waits cancel
-  // their timers from a VP other than the one they armed on.
-  EXPECT_GT(wakeWaitersEarly(makeGlobalFifoPolicy()), 0);
+  // One shared queue, so any free VP may resume a woken TCB. Each round is
+  // staged so that every long wait resumes on a VP other than the one it
+  // armed on: while the waiters arm, the round thread and two holders keep
+  // three VPs busy, so every waiter arms on the fourth; while they resume, a
+  // holder keeps that fourth VP busy. Preemption is off, so a running
+  // thread keeps its VP until it parks or returns.
+  VmConfig Config;
+  Config.NumVps = 4;
+  Config.NumPps = 4;
+  Config.EnablePreemption = false;
+  Config.Policy = makeGlobalFifoPolicy();
+  VirtualMachine Vm(Config);
+  constexpr int Rounds = 20;
+  constexpr int Waiters = 32;
+  constexpr int LongWaiters = Waiters - Waiters / 4;
+  Vm.run([&]() -> AnyValue {
+    for (int Round = 0; Round != Rounds; ++Round) {
+      ParkList P;
+      std::atomic<bool> Go{false}, Release{false};
+      std::atomic<int> Holding{0}, Finished{0}, LongMigrated{0},
+          LongTimedOut{0};
+      std::vector<ThreadRef> Threads;
+      for (int I = 0; I != 2; ++I)
+        Threads.push_back(TC::forkThread([&]() -> AnyValue {
+          Holding.fetch_add(1, std::memory_order_acq_rel);
+          holdVpUntil([&] { return Release.load(std::memory_order_acquire); });
+          return AnyValue();
+        }));
+      holdVpUntil([&] { return Holding.load() == 2; });
+
+      for (int I = 0; I != Waiters; ++I) {
+        const bool Short = I % 4 == 0;
+        Threads.push_back(TC::forkThread([&, Short]() -> AnyValue {
+          VirtualProcessor *Armed = currentVp();
+          WaitResult R = P.awaitUntil(
+              [&] { return Go.load(std::memory_order_acquire); }, &P,
+              Deadline::in(Short ? ShortNanos : LongNanos));
+          if (!Short && currentVp() != Armed)
+            LongMigrated.fetch_add(1, std::memory_order_relaxed);
+          if (!Short && R != WaitResult::Ready)
+            LongTimedOut.fetch_add(1, std::memory_order_relaxed);
+          Finished.fetch_add(1, std::memory_order_acq_rel);
+          return AnyValue();
+        }));
+      }
+      holdVpUntil([&] { return P.waiterCount() >= LongWaiters; });
+
+      // Occupy the VP the waiters armed on until every waiter is done.
+      Threads.push_back(TC::forkThread([&]() -> AnyValue {
+        Holding.fetch_add(1, std::memory_order_acq_rel);
+        holdVpUntil([&] { return Finished.load() == Waiters; });
+        return AnyValue();
+      }));
+      holdVpUntil([&] { return Holding.load() == 3; });
+
+      Go.store(true, std::memory_order_release);
+      P.wakeAll();
+      Release.store(true, std::memory_order_release);
+      for (auto &T : Threads)
+        TC::threadWait(*T);
+
+      // The wake came 10 s before any long deadline, and every long wait
+      // resumed on another VP, which had to drop the timer it armed.
+      EXPECT_EQ(LongTimedOut.load(), 0) << "round " << Round;
+      EXPECT_EQ(LongMigrated.load(), LongWaiters) << "round " << Round;
+      EXPECT_EQ(P.waiterCount(), 0u);
+      EXPECT_EQ(Vm.clock().pendingTimers(), 0u) << "round " << Round;
+    }
+    return AnyValue();
+  });
+  EXPECT_EQ(Vm.clock().pendingTimers(), 0u);
 }
 
 TEST(TimerShardTest, EarlierDeadlineCutsTheClockSleepShort) {
