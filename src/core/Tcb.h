@@ -62,9 +62,32 @@ enum class ParkState : std::uint32_t {
   WakeupPending, ///< woken while still Parking; scheduler re-enqueues
 };
 
+/// Sticky wakes, kept in the park word beside the phase: a wakeup of one
+/// class that found the thread Running. The next park of that class
+/// consumes its bit and returns at once instead of parking; a park of the
+/// other class leaves it set. A kernel bit can end a later kernel park
+/// early, so every kernel park site re-checks its condition in a loop
+/// (see ParkList::awaitUntil).
+enum ParkWake : std::uint32_t {
+  UserWake = 1u << 3,   ///< threadRun or a suspend timer
+  KernelWake = 1u << 4, ///< a structure wakeup or a park timeout
+};
+
+/// \returns the park word with phase \p S and sticky wakes \p Wakes.
+constexpr std::uint32_t parkWord(ParkState S, std::uint32_t Wakes = 0) {
+  return static_cast<std::uint32_t>(S) | Wakes;
+}
+/// \returns the phase of park word \p Word.
+constexpr ParkState parkPhase(std::uint32_t Word) {
+  return static_cast<ParkState>(Word & (UserWake - 1));
+}
+/// \returns the sticky wakes of park word \p Word.
+constexpr std::uint32_t parkWakes(std::uint32_t Word) {
+  return Word & (UserWake | KernelWake);
+}
+
 /// Why a TCB is parked; determines which operations may resume it.
 enum class ParkClass : std::uint8_t {
-  None,
   /// thread-block / thread-suspend: resumable by threadRun (and timers).
   User,
   /// Waiting inside a runtime structure (thread barrier, mutex queue);
@@ -133,20 +156,6 @@ public:
   std::atomic<bool> PreemptPending{false};
   bool DeferredPreempt = false;
 
-  /// A user-class wakeup (threadRun / suspend timer) that arrived while
-  /// the thread was still Running; consumed at the next user park, which
-  /// it cancels. Closes the window between publishing a wakeup source
-  /// (e.g. scheduleResume) and completing the park.
-  std::atomic<bool> PendingUserWake{false};
-
-  /// The kernel-class counterpart: a structure wakeup (ParkList::wakeOne,
-  /// a barrier completion, a timeout) that landed while the TCB was
-  /// transiently Running — e.g. between a spurious return from a park and
-  /// the re-park. Consumed at the next kernel park, which it cancels, so
-  /// every kernel park site must tolerate spurious returns by re-checking
-  /// its condition in a loop (see ParkList::awaitUntil).
-  std::atomic<bool> PendingKernelWake{false};
-
   /// Absolute deadline (monotonic nanos) of the current park; 0 while the
   /// park is untimed — including every user park. Written by the owner at
   /// each park entry, read by the machine clock: deliverTimeout drops a
@@ -199,8 +208,9 @@ private:
   std::exception_ptr PendingException;
   int InterruptDisableDepth = 0;
 
-  std::atomic<ParkState> Park{ParkState::Running};
-  ParkClass ParkKind = ParkClass::None;
+  /// The park word: a ParkState phase plus the ParkWake bits. Every park,
+  /// wake and scheduler transition is one atomic step on this word.
+  std::atomic<std::uint32_t> Park{parkWord(ParkState::Running)};
   const void *BlockedOn = nullptr; ///< the paper's "blocker", for debugging
 
   int PreemptDisableDepth = 0;

@@ -154,7 +154,8 @@ bool Thread::isUserBlocked() const {
   std::lock_guard<SpinLock> Guard(Self->WaiterLock);
   if (state() != ThreadState::Evaluating || !Self->OwnedTcb)
     return false;
-  ParkState S = Self->OwnedTcb->Park.load(std::memory_order_acquire);
+  ParkState S =
+      parkPhase(Self->OwnedTcb->Park.load(std::memory_order_acquire));
   return S == ParkState::ParkedUser || S == ParkState::ParkingUser;
 }
 

@@ -159,44 +159,37 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
       (ReqTerminate | ReqRaise))
     applyRequests(C); // terminates or throws
 
-  C.ParkKind = Class;
   C.BlockedOn = Blocker;
-  C.Park.store(Class == ParkClass::User ? ParkState::ParkingUser
-                                        : ParkState::ParkingKernel,
-               std::memory_order_release);
-
-  // A user wakeup that landed before the park state was visible cancels
-  // the park (the resume "arrived first"). Checked after the store above
-  // so a waker sees either the flag consumed or the Parking state.
-  if (Class == ParkClass::User &&
-      C.PendingUserWake.exchange(false, std::memory_order_acq_rel)) {
-    C.Park.store(ParkState::Running, std::memory_order_release);
-    C.ParkKind = ParkClass::None;
-    C.BlockedOn = nullptr;
-    applyRequests(C);
-    return;
+  const std::uint32_t Wake = Class == ParkClass::User ? UserWake : KernelWake;
+  // Chaos: pretend a structure wakeup already landed. This exercises the
+  // real sticky-wake protocol below, so the injected fault is exactly the
+  // spurious return every kernel park site must tolerate.
+  if (Class == ParkClass::Kernel && STING_CHAOS_FIRE(SpuriousWake)) {
+    STING_TRACE_EVENT(ChaosInject, C.thread()->id(),
+                      static_cast<std::uint32_t>(chaos::Site::SpuriousWake));
+    C.Park.fetch_or(KernelWake, std::memory_order_relaxed);
   }
-
-  if (Class == ParkClass::Kernel) {
-    // Chaos: pretend a structure wakeup already landed. This exercises the
-    // real sticky-wake protocol below, so the injected fault is exactly
-    // the spurious return every kernel park site must tolerate.
-    if (STING_CHAOS_FIRE(SpuriousWake)) {
-      STING_TRACE_EVENT(ChaosInject, C.thread()->id(),
-                        static_cast<std::uint32_t>(
-                            chaos::Site::SpuriousWake));
-      C.PendingKernelWake.store(true, std::memory_order_release);
-    }
-    // The kernel counterpart of the sticky user wake: a structure wakeup
-    // that hit this TCB while it was transiently Running (between a
-    // spurious park return and the re-park) cancels this park.
-    if (C.PendingKernelWake.exchange(false, std::memory_order_acq_rel)) {
-      C.Park.store(ParkState::Running, std::memory_order_release);
-      C.ParkKind = ParkClass::None;
+  // One CAS either announces the park or consumes a sticky wake of this
+  // class that hit the TCB while it was Running (the wake "arrived
+  // first"), which cancels the park. A waker sees the word before or
+  // after that CAS, never between two halves of it. Start from the common
+  // case, Running with no wake pending, rather than a load.
+  const ParkState Parking = Class == ParkClass::User
+                               ? ParkState::ParkingUser
+                               : ParkState::ParkingKernel;
+  std::uint32_t Word = parkWord(ParkState::Running);
+  for (;;) {
+    if (Word & Wake) {
+      if (!C.Park.compare_exchange_weak(Word, Word & ~Wake,
+                                        std::memory_order_acq_rel))
+        continue;
       C.BlockedOn = nullptr;
       applyRequests(C);
       return;
     }
+    if (C.Park.compare_exchange_weak(Word, parkWord(Parking, parkWakes(Word)),
+                                     std::memory_order_acq_rel))
+      break;
   }
 
   // Arm the timeout only once the park is committed; the timer races the
@@ -218,20 +211,12 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
   // on, so the clock holds timers only for waits still in progress.
   if (DeadlineNanos != 0)
     Clock.cancelTimeout(C);
-  C.ParkKind = ParkClass::None;
   C.BlockedOn = nullptr;
   applyRequests(C);
 }
 
 bool ThreadController::unparkImpl(Tcb &C, EnqueueReason Reason,
                                   UnparkClass Constraint) {
-  // Chaos: stall the wakeup before it touches the park state word,
-  // widening the Parking/Running windows the protocol must cover.
-  if (STING_CHAOS_FIRE(UnparkDelay)) {
-    STING_TRACE_EVENT(ChaosInject, C.thread() ? C.thread()->id() : 0,
-                      static_cast<std::uint32_t>(chaos::Site::UnparkDelay));
-    spinForNanos(2'000);
-  }
   // Wakeups are charged to the waker's VP (single-writer); wakers with no
   // VP — the preemption clock, external joiners — charge the target.
   auto NoteWakeup = [&C](std::uint32_t Payload) {
@@ -247,59 +232,50 @@ bool ThreadController::unparkImpl(Tcb &C, EnqueueReason Reason,
         T->setFlowId(F);
     STING_TRACE_EVENT(Wakeup, C.thread() ? C.thread()->id() : 0, Payload);
   };
+  std::uint32_t Word = C.Park.load(std::memory_order_acquire);
   for (;;) {
-    ParkState S = C.Park.load(std::memory_order_acquire);
-    switch (S) {
-    case ParkState::ParkedUser:
-    case ParkState::ParkedKernel: {
-      if (Constraint == UnparkClass::UserOnly && S == ParkState::ParkedKernel)
-        return false;
-      if (Constraint == UnparkClass::KernelOnly && S == ParkState::ParkedUser)
-        return false;
-      if (!C.Park.compare_exchange_weak(S, ParkState::Running,
-                                        std::memory_order_acq_rel))
-        continue;
-      NoteWakeup(0);
-      C.vp()->enqueue(C, Reason);
-      return true;
-    }
-    case ParkState::ParkingUser:
-    case ParkState::ParkingKernel: {
-      if (Constraint == UnparkClass::UserOnly && S == ParkState::ParkingKernel)
-        return false;
-      if (Constraint == UnparkClass::KernelOnly && S == ParkState::ParkingUser)
-        return false;
-      // The target is still walking off its stack; hand the wakeup to its
-      // scheduler, which re-enqueues once the switch-out completes.
-      if (C.Park.compare_exchange_weak(S, ParkState::WakeupPending,
-                                       std::memory_order_acq_rel)) {
-        NoteWakeup(1);
-        return true;
-      }
-      continue;
-    }
-    case ParkState::Running:
-      if (Constraint == UnparkClass::UserOnly) {
-        // The target has not parked yet (e.g. a suspend timer fired
-        // between scheduleResume and the park). Leave a sticky wake; the
-        // park-entry check below consumes it and cancels the park.
-        C.PendingUserWake.store(true, std::memory_order_release);
-        NoteWakeup(2);
-        return true;
-      }
-      // Kernel wake (structure or timer) onto a transiently-Running TCB:
-      // the waiter already returned from its park (spuriously, by timeout,
-      // or popped just as it gave up) and is between re-checks. Dropping
-      // the wake here could strand its re-park forever; leave the kernel
-      // sticky wake, which the next *kernel* park consumes and cancels —
-      // user parks never consume it, so this path stays safe for
-      // KernelOnly (timer) deliveries too.
-      C.PendingKernelWake.store(true, std::memory_order_release);
-      NoteWakeup(3);
-      return true;
-    case ParkState::WakeupPending:
+    const ParkState S = parkPhase(Word);
+    if (S == ParkState::WakeupPending)
       return false; // someone else already woke it
+    const bool Parked =
+        S == ParkState::ParkedUser || S == ParkState::ParkedKernel;
+    std::uint32_t Next, Payload;
+    if (S == ParkState::Running) {
+      // The target has not parked yet, or already returned from its park
+      // (spuriously, by timeout, or popped just as it gave up) and is
+      // between re-checks. Leave a sticky wake of this wakeup's class; the
+      // next park of that class consumes it and returns at once. Timer
+      // deliveries (KernelOnly) set only the kernel bit, so they can never
+      // end a user park.
+      const bool User = Constraint == UnparkClass::UserOnly;
+      Next = Word | (User ? UserWake : KernelWake);
+      Payload = User ? 2 : 3;
+    } else {
+      const bool User =
+          S == ParkState::ParkingUser || S == ParkState::ParkedUser;
+      if (Constraint != UnparkClass::Any &&
+          User != (Constraint == UnparkClass::UserOnly))
+        return false;
+      // A target still Parking is walking off its stack; WakeupPending
+      // hands the wakeup to its scheduler, which re-enqueues once the
+      // switch-out completes.
+      Next = parkWord(Parked ? ParkState::Running : ParkState::WakeupPending,
+                      parkWakes(Word));
+      Payload = Parked ? 0 : 1;
     }
+    // Chaos: stall between reading the park word and the CAS that acts on
+    // it, widening the window in which the target moves on.
+    if (STING_CHAOS_FIRE(UnparkDelay)) {
+      STING_TRACE_EVENT(ChaosInject, C.thread() ? C.thread()->id() : 0,
+                        static_cast<std::uint32_t>(chaos::Site::UnparkDelay));
+      spinForNanos(2'000);
+    }
+    if (!C.Park.compare_exchange_weak(Word, Next, std::memory_order_acq_rel))
+      continue;
+    NoteWakeup(Payload);
+    if (Parked)
+      C.vp()->enqueue(C, Reason);
+    return true;
   }
 }
 

@@ -213,7 +213,8 @@ void VirtualProcessor::tcbEntry(void *Arg) {
 void VirtualProcessor::resume(Tcb &C) { switchInto(C); }
 
 void VirtualProcessor::switchInto(Tcb &C) {
-  STING_DCHECK(C.Park.load(std::memory_order_relaxed) == ParkState::Running,
+  STING_DCHECK(parkPhase(C.Park.load(std::memory_order_relaxed)) ==
+                   ParkState::Running,
                "dispatching a TCB that is not Running");
   Running.store(&C, std::memory_order_relaxed);
   currentCursor().CurTcb = &C;
@@ -280,13 +281,15 @@ void VirtualProcessor::switchInto(Tcb &C) {
   case SchedAction::Park: {
     Stats.Parks.inc();
     // Complete the park handshake now that the thread is off its stack.
+    std::uint32_t Word = Out->Park.load(std::memory_order_acquire);
     for (;;) {
-      ParkState S = Out->Park.load(std::memory_order_acquire);
+      ParkState S = parkPhase(Word);
       if (S == ParkState::ParkingUser || S == ParkState::ParkingKernel) {
         ParkState Target = S == ParkState::ParkingUser
                                ? ParkState::ParkedUser
                                : ParkState::ParkedKernel;
-        if (Out->Park.compare_exchange_weak(S, Target,
+        if (Out->Park.compare_exchange_weak(Word,
+                                            parkWord(Target, parkWakes(Word)),
                                             std::memory_order_acq_rel))
           return;
         continue;
@@ -294,7 +297,9 @@ void VirtualProcessor::switchInto(Tcb &C) {
       STING_DCHECK(S == ParkState::WakeupPending,
                    "unexpected park state in scheduler");
       // A wakeup raced with the switch-out; the thread never really slept.
-      Out->Park.store(ParkState::Running, std::memory_order_release);
+      // No waker writes the word in this phase, so a plain store ends it.
+      Out->Park.store(parkWord(ParkState::Running, parkWakes(Word)),
+                      std::memory_order_release);
       enqueue(*Out, Reason);
       return;
     }
@@ -336,13 +341,10 @@ void VirtualProcessor::recycleTcb(Tcb &C) {
   C.Current.reset();
   C.Active = nullptr;
   C.Requests.store(0, std::memory_order_relaxed);
-  C.Park.store(ParkState::Running, std::memory_order_relaxed);
-  C.ParkKind = ParkClass::None;
+  C.Park.store(parkWord(ParkState::Running), std::memory_order_relaxed);
   C.BlockedOn = nullptr;
   C.WaitCount.store(0, std::memory_order_relaxed);
   C.PreemptPending.store(false, std::memory_order_relaxed);
-  C.PendingUserWake.store(false, std::memory_order_relaxed);
-  C.PendingKernelWake.store(false, std::memory_order_relaxed);
   C.TimedParkDeadline.store(0, std::memory_order_relaxed);
   C.DeferredPreempt = false;
   C.PreemptDisableDepth = 0;

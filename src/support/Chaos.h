@@ -35,7 +35,7 @@ enum class Site : std::uint8_t {
   SpuriousWake,  ///< kernel park entry: pretend a wake already arrived
   PreemptPoint,  ///< extra control-transfer inside await/retry loops
   StealDeny,     ///< trySteal artificially refuses a stealable thread
-  UnparkDelay,   ///< unpark stalls before touching the park state word
+  UnparkDelay,   ///< unpark stalls between reading the park word and its CAS
   NetShortIo,    ///< socket read/write artificially truncated to one byte
   NetAcceptDeny, ///< accept pretends the queue was empty and re-parks
   // Wire-layer resilience sites. These fire only on paths whose callers

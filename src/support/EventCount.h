@@ -7,11 +7,10 @@
 /// \file
 /// An event count whose notify side is a single atomic load when nobody
 /// waits — the idle protocol of the lock-free scheduling fast path
-/// (DESIGN.md section 8). Parker (support/Parker.h) already provides the
-/// prepare/commit shape, but its notify() always takes the mutex, so every
-/// enqueue on a busy machine pays a lock round-trip for a wakeup nobody
-/// needs. EventCount folds a waiter count into the same atomic word as the
-/// epoch:
+/// (DESIGN.md section 8). A notify() that always took the mutex would make
+/// every enqueue on a busy machine pay a lock round-trip for a wakeup
+/// nobody needs, so EventCount folds a waiter count into the same atomic
+/// word as the epoch:
 ///
 ///   waiter:                          notifier:
 ///     Key K = Ec.prepareWait();        publish work (release or stronger)

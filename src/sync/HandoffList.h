@@ -73,7 +73,10 @@ private:
   template <typename> friend class HandoffList;
 
   HandoffState St = HandoffState::Armed;
-  Thread *Self = nullptr; ///< bound at enqueue; pinned while linked
+  /// The owner of the TCB that parks on this registration, bound at
+  /// enqueue and pinned while linked. Inside a stolen thunk that is the
+  /// stealer, not the stolen thread, as for every other waiter kind.
+  Thread *Self = nullptr;
 };
 
 /// An intrusive list of registered waiter records. Every member except
@@ -86,7 +89,7 @@ public:
   /// Registers \p W (re-arming it) at the tail; FIFO delivery order.
   void enqueue(WaiterT &W) {
     W.St = HandoffState::Armed;
-    W.Self = currentThread();
+    W.Self = currentTcb()->thread();
     Waiters.pushBack(W);
     Registered.store(Registered.load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);

@@ -16,10 +16,13 @@
 
 #include "core/ThreadController.h"
 #include "core/VirtualMachine.h"
+#include "core/Watchdog.h"
+#include "sync/Semaphore.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <optional>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace {
@@ -38,11 +41,23 @@ TEST(TupleEntryCacheTest, OneWayFlowKeepsThePoolBounded) {
   constexpr long Tuples = 100'000;
   /// Most tuples in flight: put but not yet taken and dropped.
   constexpr long Window = 64;
-  constexpr std::uint64_t SliceNanos = 50'000'000; // 50 ms
-  VirtualMachine Vm(VmConfig{.NumVps = NumVps, .NumPps = NumVps});
+  // The takes are untimed, so a lost wakeup would wedge the flow. The
+  // producer blocks on the window rather than spinning, so a wedge leaves
+  // every VP idle, and the stall watchdog turns it into a prompt failure
+  // instead of a hang.
+  VmConfig Config{.NumVps = NumVps, .NumPps = NumVps};
+  Config.StallBudgetNanos = 2'000'000'000; // 2 s
+  VirtualMachine Vm(Config);
+  Vm.watchdog()->setReportHook([](const std::string &Report) {
+    // The watchdog has already printed the report on stderr.
+    if (Report.find("machine-blocked") != std::string::npos)
+      std::abort();
+  });
   TupleSpaceRef Ts = TupleSpace::create();
+  Semaphore Slots(Window);
   std::atomic<long> InFlight{0};
   std::atomic<long> PeakInFlight{0};
+  std::atomic<long> Claimed{0};
   std::atomic<long> Taken{0};
   std::atomic<long> Sum{0};
   Vm.run([&]() -> AnyValue {
@@ -52,21 +67,17 @@ TEST(TupleEntryCacheTest, OneWayFlowKeepsThePoolBounded) {
       Opts.Vp = &Vm.vp(1 + C);
       Threads.push_back(TC::forkThread(
           [&]() -> AnyValue {
-            for (;;) {
-              // Timed slices, retried: an untimed take can still miss its
-              // wakeup (a known open bug), which would hang the flow.
-              std::optional<Match> M;
-              while (!(M = Ts->takeFor(makeTuple("job", formal(0)),
-                                       SliceNanos)))
-                ;
-              const long V = M->binding(0).asFixnum();
-              M.reset();
+            // Stop on a count, not on stop tuples: Linda promises no
+            // order, so a stop tuple may overtake real ones.
+            while (Claimed.fetch_add(1, std::memory_order_relaxed) < Tuples) {
+              const long V =
+                  Ts->take(makeTuple("job", formal(0))).binding(0).asFixnum();
               InFlight.fetch_sub(1, std::memory_order_acq_rel);
-              if (V < 0)
-                return AnyValue();
+              Slots.release();
               Taken.fetch_add(1, std::memory_order_relaxed);
               Sum.fetch_add(V, std::memory_order_relaxed);
             }
+            return AnyValue();
           },
           Opts));
     }
@@ -74,20 +85,15 @@ TEST(TupleEntryCacheTest, OneWayFlowKeepsThePoolBounded) {
     Opts.Vp = &Vm.vp(0);
     Threads.push_back(TC::forkThread(
         [&]() -> AnyValue {
-          auto PutOne = [&](long V) {
-            while (InFlight.load(std::memory_order_acquire) >= Window)
-              TC::yieldProcessor();
+          for (long I = 0; I != Tuples; ++I) {
+            Slots.acquire();
             long Now = InFlight.fetch_add(1, std::memory_order_acq_rel) + 1;
             long Peak = PeakInFlight.load(std::memory_order_relaxed);
             while (Now > Peak &&
                    !PeakInFlight.compare_exchange_weak(Peak, Now))
               ;
-            Ts->put(makeTuple("job", V));
-          };
-          for (long I = 0; I != Tuples; ++I)
-            PutOne(I);
-          for (int C = 0; C != Consumers; ++C)
-            PutOne(-1); // one stop tuple per consumer
+            Ts->put(makeTuple("job", I));
+          }
           return AnyValue();
         },
         Opts));
