@@ -26,7 +26,7 @@ static ThreadInfo describeThread(Thread &T) {
   Info.State = T.state();
   Info.UserBlocked = T.isUserBlocked();
   Info.Priority = T.priority();
-  Info.ParentId = T.parent() ? T.parent()->id() : 0;
+  Info.ParentId = T.parentId();
   Info.GroupId = T.group() ? T.group()->id() : 0;
   return Info;
 }

@@ -96,12 +96,14 @@ Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
 
   if (!Opts.NoGenealogy) {
     Thread *Creator = currentThread();
-    if (Creator && &Creator->vm() == &Vm)
-      Parent = ThreadRef(Creator);
+    if (Creator && &Creator->vm() != &Vm)
+      Creator = nullptr;
+    if (Creator)
+      ParentId = Creator->id();
     if (Opts.Group)
       Group = IntrusivePtr<ThreadGroup>(Opts.Group);
-    else if (Parent && Parent->group())
-      Group = IntrusivePtr<ThreadGroup>(Parent->group());
+    else if (Creator && Creator->group())
+      Group = IntrusivePtr<ThreadGroup>(Creator->group());
     else
       Group = IntrusivePtr<ThreadGroup>(&Vm.rootGroup());
     Group->addMember(*this);

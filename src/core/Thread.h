@@ -201,8 +201,10 @@ public:
   // --- Genealogy (section 3.1: parent/siblings/children for debugging and
   // profiling; children are enumerated through the thread's group). -------
 
-  /// The creating thread, or null for roots / NoGenealogy threads.
-  Thread *parent() const { return Parent.get(); }
+  /// The creating thread's id, or 0 for roots / NoGenealogy threads. An
+  /// id, not a reference: a parent whose result holds its children must
+  /// not be kept alive by them.
+  std::uint64_t parentId() const { return ParentId; }
 
   /// The thread's group (never null once created normally).
   ThreadGroup *group() const { return Group.get(); }
@@ -274,7 +276,7 @@ private:
   Tcb *OwnedTcb = nullptr;
 
   IntrusivePtr<ThreadGroup> Group;
-  ThreadRef Parent;
+  std::uint64_t ParentId = 0;
 };
 
 } // namespace sting

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The building block of the built-in policy managers: an intrusive list of
-/// Schedulable items with a spin lock and a lock-free emptiness probe. The
-/// paper's "Serialization" policy axis is about where instances of this
-/// structure sit (per VP vs. machine-global) and which operations bypass
-/// the lock.
+/// GlobalFifoPolicy's machine-wide queue: an intrusive FIFO of Schedulable
+/// items with a spin lock and a lock-free emptiness probe. The per-VP
+/// policies use the lock-free deque and mailbox instead (DESIGN.md
+/// section 8).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,18 +24,12 @@
 
 namespace sting {
 
-/// A locked FIFO/LIFO-capable ready queue.
+/// A locked FIFO ready queue.
 class ReadyQueue {
 public:
   void pushBack(Schedulable &Item) {
     std::lock_guard<SpinLock> Guard(Lock);
     Items.pushBack(Item);
-    Size.fetch_add(1, std::memory_order_release);
-  }
-
-  void pushFront(Schedulable &Item) {
-    std::lock_guard<SpinLock> Guard(Lock);
-    Items.pushFront(Item);
     Size.fetch_add(1, std::memory_order_release);
   }
 
@@ -48,38 +41,6 @@ public:
       return nullptr;
     Size.fetch_sub(1, std::memory_order_release);
     return &Items.popFront();
-  }
-
-  /// Moves the back half of this queue (ceil(size/2) items, at least one
-  /// when non-empty) to the *front* of \p Out, preserving the segment's
-  /// relative order; the migration primitive of locked steal-half
-  /// policies. LockFreeQueueTest pins the ordering contract.
-  ///
-  /// The two locks are never held together: the segment is detached under
-  /// this queue's lock into a local list, then spliced under Out's lock —
-  /// so two queues stealing from each other concurrently cannot deadlock
-  /// (the ABBA hazard the previous nested-lock version had).
-  std::size_t popHalfInto(ReadyQueue &Out) {
-    IntrusiveList<Schedulable, ReadyQueueTag> Seg;
-    std::size_t Taken = 0;
-    {
-      std::lock_guard<SpinLock> Guard(Lock);
-      std::size_t N = Items.size();
-      std::size_t Take = N / 2 + (N % 2); // at least 1 when non-empty
-      while (Taken != Take && !Items.empty()) {
-        // popBack walks newest-first; pushFront rebuilds original order.
-        Seg.pushFront(Items.popBack());
-        ++Taken;
-      }
-      Size.fetch_sub(Taken, std::memory_order_release);
-    }
-    if (Taken == 0)
-      return 0;
-    std::lock_guard<SpinLock> Guard(Out.Lock);
-    while (!Seg.empty())
-      Out.Items.pushFront(Seg.popBack());
-    Out.Size.fetch_add(Taken, std::memory_order_release);
-    return Taken;
   }
 
   bool empty() const { return Size.load(std::memory_order_acquire) == 0; }

@@ -28,29 +28,10 @@ namespace {
 using net::BufferedConn;
 namespace wire = net::wire;
 
-bool sendPayload(BufferedConn &C, const wire::Writer &W) {
-  return C.writeFrame(W.payload().data(), W.payload().size()) && C.flush();
-}
-
-bool sendError(BufferedConn &C, const char *Reason) {
-  wire::Writer W(wire::Op::Err);
-  W.text(Reason);
-  return sendPayload(C, W);
-}
-
-
-void adoptFlow(std::uint64_t F) {
-  if (!F)
-    return;
-  obs::setCurrentFlowId(F);
-  if (Thread *T = currentThread())
-    T->setFlowId(F);
-}
-
-void stampReplyFlow(wire::Writer &W) {
-  if (obs::FlowId F = obs::currentFlowId())
-    W.flow(F);
-}
+using net::adoptFlow;
+using net::sendError;
+using net::sendPayload;
+using net::stampReplyFlow;
 
 /// Marshals a replication outcome: RepAck on success, Err(reason, epoch)
 /// on a fenced/refused op — the clean-refusal discipline Hello set the
@@ -259,6 +240,21 @@ public:
 
 void serveShardConn(ShardConn &S) {
   BufferedConn &C = S.C;
+  const net::TuplePutFn Put = [&S](Tuple T) -> const char * {
+    S.Space->put(std::move(T));
+    return nullptr;
+  };
+  // Parks the connection thread like net::tupleSpaceHandler — the unary
+  // path for pool connections. Registration connections never send these.
+  const net::TupleMatchFn Find = [&S](Tuple Tmpl, bool Take,
+                                      Match &Out) -> const char * {
+    Out = Take ? S.Space->take(std::move(Tmpl)) : S.Space->read(std::move(Tmpl));
+    // Delivered⇒tombstoned: the backup hears about the take before the
+    // caller can observe the TsMatch.
+    if (Take && S.Cfg.Rep)
+      S.Cfg.Rep->noteTaken(Out.Fields);
+    return nullptr;
+  };
   std::vector<std::uint8_t> Frame;
   for (;;) {
     if (!S.drainOut())
@@ -382,45 +378,12 @@ void serveShardConn(ShardConn &S) {
         return;
       break;
     }
-    case wire::Op::TsOut: {
-      Tuple T;
-      if (!wire::readTuple(R, T)) {
-        if (!sendError(C, "malformed tuple"))
-          return;
-        break;
-      }
-      S.Space->put(std::move(T));
-      wire::Writer W(wire::Op::TsAck);
-      stampReplyFlow(W);
-      if (!sendPayload(C, W))
-        return;
-      break;
-    }
+    case wire::Op::TsOut:
     case wire::Op::TsRd:
-    case wire::Op::TsIn: {
-      bool Destructive = R.op() == wire::Op::TsIn;
-      Tuple T;
-      if (!wire::readTuple(R, T)) {
-        if (!sendError(C, "malformed template"))
-          return;
-        break;
-      }
-      // Parks the connection thread like net::tupleSpaceHandler — the
-      // unary path for pool connections. Registration connections never
-      // send these.
-      Match M = Destructive ? S.Space->take(std::move(T))
-                            : S.Space->read(std::move(T));
-      // Delivered⇒tombstoned: the backup hears about the take before the
-      // caller can observe the TsMatch.
-      if (Destructive && S.Cfg.Rep)
-        S.Cfg.Rep->noteTaken(M.Fields);
-      wire::Writer W(wire::Op::TsMatch);
-      stampReplyFlow(W);
-      wire::writeMatch(W, M);
-      if (!sendPayload(C, W))
+    case wire::Op::TsIn:
+      if (!net::serveTupleOp(C, R, Put, Find))
         return;
       break;
-    }
     case wire::Op::RepPut: {
       wire::ReadField SlotF, EpochF, FlagsF;
       Tuple T;

@@ -12,6 +12,7 @@
 #include "core/VirtualMachine.h"
 #include "core/VirtualProcessor.h"
 #include "gc/GlobalHeap.h"
+#include "net/Services.h"
 #include "obs/Flow.h"
 #include "obs/SchedStats.h"
 #include "obs/TraceBuffer.h"
@@ -28,15 +29,12 @@ using net::BufferedConn;
 using net::Socket;
 using TC = ThreadController;
 
-namespace {
+using net::adoptFlow;
+using net::sendError;
+using net::sendPayload;
+using net::stampReplyFlow;
 
-void adoptFlow(std::uint64_t F) {
-  if (!F)
-    return;
-  obs::setCurrentFlowId(F);
-  if (Thread *T = currentThread())
-    T->setFlowId(F);
-}
+namespace {
 
 /// Packs the RouterRoute trace payload: shard index (0xffff = fan-out, no
 /// single home) in the low 16 bits, the leg count above.
@@ -900,74 +898,36 @@ Status SpaceRouter::matchOnce(const std::vector<std::size_t> &Cands,
 
 net::Server::Handler routerHandler(SpaceRouter &Router) {
   return [&Router](BufferedConn &C) {
-    auto SendPayload = [&C](const wire::Writer &W) {
-      return C.writeFrame(W.payload().data(), W.payload().size()) &&
-             C.flush();
+    auto Reason = [](Status St) {
+      return St == Status::Ok ? nullptr : statusName(St);
     };
-    auto SendError = [&](const char *Reason) {
-      wire::Writer W(wire::Op::Err);
-      W.text(Reason);
-      return SendPayload(W);
+    const net::TuplePutFn Put = [&](Tuple T) {
+      return Reason(Router.put(std::move(T)));
     };
-    auto StampFlow = [](wire::Writer &W) {
-      if (obs::FlowId F = obs::currentFlowId())
-        W.flow(F);
+    const net::TupleMatchFn Find = [&](Tuple Tmpl, bool Take, Match &Out) {
+      return Reason(Take ? Router.take(std::move(Tmpl), Out)
+                         : Router.read(std::move(Tmpl), Out));
     };
     std::vector<std::uint8_t> Frame;
     while (C.readFrame(Frame)) {
       wire::Reader R(Frame.data(), Frame.size());
       if (!R.ok()) {
-        if (!SendError("malformed frame"))
+        if (!sendError(C, "malformed frame"))
           return;
         continue;
       }
       adoptFlow(R.takeFlow());
       switch (R.op()) {
-      case wire::Op::TsOut: {
-        Tuple T;
-        if (!wire::readTuple(R, T)) {
-          if (!SendError("malformed tuple"))
-            return;
-          break;
-        }
-        Status St = Router.put(std::move(T));
-        if (St == Status::Ok) {
-          wire::Writer W(wire::Op::TsAck);
-          StampFlow(W);
-          if (!SendPayload(W))
-            return;
-        } else if (!SendError(statusName(St))) {
-          return;
-        }
-        break;
-      }
+      case wire::Op::TsOut:
       case wire::Op::TsRd:
-      case wire::Op::TsIn: {
-        bool Destructive = R.op() == wire::Op::TsIn;
-        Tuple T;
-        if (!wire::readTuple(R, T)) {
-          if (!SendError("malformed template"))
-            return;
-          break;
-        }
-        Match M;
-        Status St = Destructive ? Router.take(std::move(T), M)
-                                : Router.read(std::move(T), M);
-        if (St == Status::Ok) {
-          wire::Writer W(wire::Op::TsMatch);
-          StampFlow(W);
-          wire::writeMatch(W, M);
-          if (!SendPayload(W))
-            return;
-        } else if (!SendError(statusName(St))) {
+      case wire::Op::TsIn:
+        if (!net::serveTupleOp(C, R, Put, Find))
           return;
-        }
         break;
-      }
       case wire::Op::RouterStats: {
         RouterStatsSnapshot S = Router.statsSnapshot();
         wire::Writer W(wire::Op::StatsReply);
-        StampFlow(W);
+        stampReplyFlow(W);
         auto Row = [&W](const char *Name, std::uint64_t V) {
           W.text(Name);
           W.fixnum(static_cast<std::int64_t>(V));
@@ -981,12 +941,12 @@ net::Server::Handler routerHandler(SpaceRouter &Router) {
         Row("sting_router_orphans_total", S.Orphans);
         Row("sting_router_promotions_total", S.Promotions);
         Row("sting_router_unreplicated_total", S.Unreplicated);
-        if (!SendPayload(W))
+        if (!sendPayload(C, W))
           return;
         break;
       }
       default:
-        if (!SendError("unknown op"))
+        if (!sendError(C, "unknown op"))
           return;
         break;
       }

@@ -19,8 +19,6 @@
 
 namespace sting::net {
 
-namespace {
-
 bool sendPayload(BufferedConn &C, const wire::Writer &W) {
   return C.writeFrame(W.payload().data(), W.payload().size()) && C.flush();
 }
@@ -31,29 +29,42 @@ bool sendError(BufferedConn &C, const char *Reason) {
   return sendPayload(C, W);
 }
 
-/// Adopts a client-supplied flow id into the connection thread, so this
-/// request's server-side work — trace events, forks, tuple deposits —
-/// joins the client's causal flow. Updating Thread::flowId as well as the
-/// TLS keeps the adoption across re-dispatches (yield, park/unpark).
 void adoptFlow(std::uint64_t F) {
   if (!F)
     return;
   obs::setCurrentFlowId(F);
+  // Thread::flowId as well as the TLS keeps the adoption across
+  // re-dispatches (yield, park/unpark).
   if (Thread *T = currentThread())
     T->setFlowId(F);
 }
 
-/// Prefixes \p W with the connection's current flow so the client can
-/// stitch the reply into its trace. For matched reads the current flow is
-/// the *depositor's* (the facade adopts it on take/read) — the reply then
-/// carries the causal history of the data, which is the edge the flow
-/// arrows want.
 void stampReplyFlow(wire::Writer &W) {
+  // For matched reads the current flow is the *depositor's* (the facade
+  // adopts it on take/read) — the reply then carries the causal history
+  // of the data, which is the edge the flow arrows want.
   if (obs::FlowId F = obs::currentFlowId())
     W.flow(F);
 }
 
-} // namespace
+bool serveTupleOp(BufferedConn &C, wire::Reader &R, const TuplePutFn &Put,
+                  const TupleMatchFn &Find) {
+  bool IsPut = R.op() == wire::Op::TsOut;
+  Tuple T;
+  if (!wire::readTuple(R, T))
+    return sendError(C, IsPut ? "malformed tuple" : "malformed template");
+  Match M;
+  const char *Reason = IsPut
+                           ? Put(std::move(T))
+                           : Find(std::move(T), R.op() == wire::Op::TsIn, M);
+  if (Reason)
+    return sendError(C, Reason);
+  wire::Writer W(IsPut ? wire::Op::TsAck : wire::Op::TsMatch);
+  stampReplyFlow(W);
+  if (!IsPut)
+    wire::writeMatch(W, M);
+  return sendPayload(C, W);
+}
 
 Server::Handler echoHandler() {
   return [](BufferedConn &C) {
@@ -170,6 +181,19 @@ Server::Handler metricsHandler(VirtualMachine &Vm) {
 
 Server::Handler tupleSpaceHandler(TupleSpaceRef Space) {
   return [Space](BufferedConn &C) {
+    const TuplePutFn Put = [&Space](Tuple T) -> const char * {
+      Space->put(std::move(T));
+      return nullptr;
+    };
+    // Blocks the *connection thread* in the space — it parks in the
+    // blocked-reader table like any local reader while the VP keeps
+    // serving other connections; kill-group cancellation unwinds it out
+    // of the park.
+    const TupleMatchFn Find = [&Space](Tuple Tmpl, bool Take,
+                                       Match &Out) -> const char * {
+      Out = Take ? Space->take(std::move(Tmpl)) : Space->read(std::move(Tmpl));
+      return nullptr;
+    };
     std::vector<std::uint8_t> Frame;
     while (C.readFrame(Frame)) {
       wire::Reader R(Frame.data(), Frame.size());
@@ -179,42 +203,13 @@ Server::Handler tupleSpaceHandler(TupleSpaceRef Space) {
         continue;
       }
       adoptFlow(R.takeFlow());
-      Tuple T;
       switch (R.op()) {
-      case wire::Op::TsOut: {
-        if (!wire::readTuple(R, T)) {
-          if (!sendError(C, "malformed tuple"))
-            return;
-          break;
-        }
-        Space->put(std::move(T));
-        wire::Writer W(wire::Op::TsAck);
-        stampReplyFlow(W);
-        if (!sendPayload(C, W))
-          return;
-        break;
-      }
+      case wire::Op::TsOut:
       case wire::Op::TsRd:
-      case wire::Op::TsIn: {
-        bool Destructive = R.op() == wire::Op::TsIn;
-        if (!wire::readTuple(R, T)) {
-          if (!sendError(C, "malformed template"))
-            return;
-          break;
-        }
-        // Blocks the *connection thread* in the space — it parks in the
-        // blocked-reader table like any local reader while the VP keeps
-        // serving other connections; kill-group cancellation unwinds it
-        // out of the park.
-        Match M = Destructive ? Space->take(std::move(T))
-                              : Space->read(std::move(T));
-        wire::Writer W(wire::Op::TsMatch);
-        stampReplyFlow(W);
-        wire::writeMatch(W, M);
-        if (!sendPayload(C, W))
+      case wire::Op::TsIn:
+        if (!serveTupleOp(C, R, Put, Find))
           return;
         break;
-      }
       default:
         if (!sendError(C, "unknown op"))
           return;

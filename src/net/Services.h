@@ -30,15 +30,54 @@
 /// cross-thread journey through the server shares a single causal flow id
 /// in exported traces.
 ///
+/// serveTupleOp is the one TsOut/TsRd/TsIn service: tupleSpaceHandler,
+/// the shard handler and the router handler (src/dist) differ only in the
+/// put/match backend they hand it. The reply helpers it uses are exported
+/// beside it for the handlers' other ops.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STING_NET_SERVICES_H
 #define STING_NET_SERVICES_H
 
 #include "net/Server.h"
+#include "net/Wire.h"
 #include "tuple/TupleSpace.h"
 
+#include <functional>
+
 namespace sting::net {
+
+/// Writes \p W as one frame and flushes it. \returns false once the
+/// connection has failed.
+bool sendPayload(BufferedConn &C, const wire::Writer &W);
+
+/// Replies Err(\p Reason).
+bool sendError(BufferedConn &C, const char *Reason);
+
+/// Adopts a client-supplied flow id (0 = none) into the connection thread,
+/// so this request's server-side work — trace events, forks, tuple
+/// deposits — joins the client's causal flow.
+void adoptFlow(std::uint64_t F);
+
+/// Prefixes \p W with the connection's current flow so the client can
+/// stitch the reply into its trace.
+void stampReplyFlow(wire::Writer &W);
+
+/// A tuple-op backend. Each call returns null on success, or the reason
+/// text the Err reply carries. TupleMatchFn takes when \p Take is set and
+/// reads otherwise, filling \p Out; it may park the connection thread.
+using TuplePutFn = std::function<const char *(Tuple T)>;
+using TupleMatchFn =
+    std::function<const char *(Tuple Template, bool Take, Match &Out)>;
+
+/// Serves the TsOut, TsRd or TsIn request \p R (its op must be one of
+/// the three, its flow already adopted): decodes the tuple or template,
+/// calls the backend and replies TsAck, TsMatch, or Err with the backend's
+/// reason or "malformed tuple"/"malformed template". \returns false once
+/// the reply cannot be written.
+bool serveTupleOp(BufferedConn &C, wire::Reader &R, const TuplePutFn &Put,
+                  const TupleMatchFn &Find);
 
 /// \returns a handler that echoes every Echo frame's fields back.
 Server::Handler echoHandler();

@@ -14,50 +14,9 @@ namespace sting::obs {
 
 SchedStatsSnapshot SchedStats::snapshot() const {
   SchedStatsSnapshot S;
-  S.Enqueues = Enqueues;
-  S.Dequeues = Dequeues;
-  S.SkippedStale = SkippedStale;
-  S.MailboxPosts = MailboxPosts;
-  S.MailboxDrains = MailboxDrains;
-  S.Dispatches = Dispatches;
-  S.FreshBinds = FreshBinds;
-  S.Resumes = Resumes;
-  S.Yields = Yields;
-  S.Parks = Parks;
-  S.Exits = Exits;
-  S.IdleCalls = IdleCalls;
-  S.TcbReuses = TcbReuses;
-  S.TcbAllocs = TcbAllocs;
-  S.StealsAttempted = StealsAttempted;
-  S.StealsSucceeded = StealsSucceeded;
-  S.StealsFailed = StealsFailed;
-  S.DequeSteals = DequeSteals;
-  S.DequeStealCas = DequeStealCas;
-  S.VpParks = VpParks;
-  S.VpUnparks = VpUnparks;
-  S.PreemptsDelivered = PreemptsDelivered;
-  S.PreemptsDeferred = PreemptsDeferred;
-  S.ThreadsCreated = ThreadsCreated;
-  S.ThreadsTerminated = ThreadsTerminated;
-  S.Blocks = Blocks;
-  S.Wakeups = Wakeups;
-  S.NetAccepts = NetAccepts;
-  S.NetReads = NetReads;
-  S.NetWrites = NetWrites;
-  S.NetBackpressureStalls = NetBackpressureStalls;
-  S.NetRetries = NetRetries;
-  S.NetBreakerOpens = NetBreakerOpens;
-  S.NetShedded = NetShedded;
-  S.PoolCheckoutWaits = PoolCheckoutWaits;
-  S.TupleHandoffs = TupleHandoffs;
-  S.TupleWakeups = TupleWakeups;
-  S.RouterRoutes = RouterRoutes;
-  S.RouterFanouts = RouterFanouts;
-  S.RouterRetracts = RouterRetracts;
-  S.RouterFailovers = RouterFailovers;
-  S.ReplForwards = ReplForwards;
-  S.ReplPromotions = ReplPromotions;
-  S.ReplCatchupTuples = ReplCatchupTuples;
+#define STING_COPY(Field, Label, Metric) S.Field = Field;
+  STING_SCHED_COUNTERS(STING_COPY)
+#undef STING_COPY
   S.RunSliceNanos = RunSliceNanos;
   S.GcPauseNanos = GcPauseNanos;
   return S;
@@ -65,50 +24,9 @@ SchedStatsSnapshot SchedStats::snapshot() const {
 
 SchedStatsSnapshot &
 SchedStatsSnapshot::operator+=(const SchedStatsSnapshot &Other) {
-  Enqueues += Other.Enqueues;
-  Dequeues += Other.Dequeues;
-  SkippedStale += Other.SkippedStale;
-  MailboxPosts += Other.MailboxPosts;
-  MailboxDrains += Other.MailboxDrains;
-  Dispatches += Other.Dispatches;
-  FreshBinds += Other.FreshBinds;
-  Resumes += Other.Resumes;
-  Yields += Other.Yields;
-  Parks += Other.Parks;
-  Exits += Other.Exits;
-  IdleCalls += Other.IdleCalls;
-  TcbReuses += Other.TcbReuses;
-  TcbAllocs += Other.TcbAllocs;
-  StealsAttempted += Other.StealsAttempted;
-  StealsSucceeded += Other.StealsSucceeded;
-  StealsFailed += Other.StealsFailed;
-  DequeSteals += Other.DequeSteals;
-  DequeStealCas += Other.DequeStealCas;
-  VpParks += Other.VpParks;
-  VpUnparks += Other.VpUnparks;
-  PreemptsDelivered += Other.PreemptsDelivered;
-  PreemptsDeferred += Other.PreemptsDeferred;
-  ThreadsCreated += Other.ThreadsCreated;
-  ThreadsTerminated += Other.ThreadsTerminated;
-  Blocks += Other.Blocks;
-  Wakeups += Other.Wakeups;
-  NetAccepts += Other.NetAccepts;
-  NetReads += Other.NetReads;
-  NetWrites += Other.NetWrites;
-  NetBackpressureStalls += Other.NetBackpressureStalls;
-  NetRetries += Other.NetRetries;
-  NetBreakerOpens += Other.NetBreakerOpens;
-  NetShedded += Other.NetShedded;
-  PoolCheckoutWaits += Other.PoolCheckoutWaits;
-  TupleHandoffs += Other.TupleHandoffs;
-  TupleWakeups += Other.TupleWakeups;
-  RouterRoutes += Other.RouterRoutes;
-  RouterFanouts += Other.RouterFanouts;
-  RouterRetracts += Other.RouterRetracts;
-  RouterFailovers += Other.RouterFailovers;
-  ReplForwards += Other.ReplForwards;
-  ReplPromotions += Other.ReplPromotions;
-  ReplCatchupTuples += Other.ReplCatchupTuples;
+#define STING_ADD(Field, Label, Metric) Field += Other.Field;
+  STING_SCHED_COUNTERS(STING_ADD)
+#undef STING_ADD
   TraceEvents += Other.TraceEvents;
   TraceDrops += Other.TraceDrops;
   RunSliceNanos.merge(Other.RunSliceNanos);
@@ -119,84 +37,10 @@ SchedStatsSnapshot::operator+=(const SchedStatsSnapshot &Other) {
 namespace {
 
 constexpr CounterRow Rows[] = {
-    {"enqueues", "sting_enqueues_total", &SchedStatsSnapshot::Enqueues},
-    {"dequeues", "sting_dequeues_total", &SchedStatsSnapshot::Dequeues},
-    {"stale skips", "sting_stale_skips_total",
-     &SchedStatsSnapshot::SkippedStale},
-    {"mailbox posts", "sting_mailbox_posts_total",
-     &SchedStatsSnapshot::MailboxPosts},
-    {"mailbox drains", "sting_mailbox_drains_total",
-     &SchedStatsSnapshot::MailboxDrains},
-    {"dispatches", "sting_dispatches_total",
-     &SchedStatsSnapshot::Dispatches},
-    {"  fresh binds", "sting_fresh_binds_total",
-     &SchedStatsSnapshot::FreshBinds},
-    {"  resumes", "sting_resumes_total", &SchedStatsSnapshot::Resumes},
-    {"yields", "sting_yields_total", &SchedStatsSnapshot::Yields},
-    {"parks", "sting_parks_total", &SchedStatsSnapshot::Parks},
-    {"exits", "sting_exits_total", &SchedStatsSnapshot::Exits},
-    {"idle calls", "sting_idle_calls_total",
-     &SchedStatsSnapshot::IdleCalls},
-    {"tcb reuses", "sting_tcb_reuses_total",
-     &SchedStatsSnapshot::TcbReuses},
-    {"tcb allocs", "sting_tcb_allocs_total",
-     &SchedStatsSnapshot::TcbAllocs},
-    {"steals attempted", "sting_steals_attempted_total",
-     &SchedStatsSnapshot::StealsAttempted},
-    {"steals succeeded", "sting_steals_succeeded_total",
-     &SchedStatsSnapshot::StealsSucceeded},
-    {"steals failed", "sting_steals_failed_total",
-     &SchedStatsSnapshot::StealsFailed},
-    {"deque steals", "sting_deque_steals_total",
-     &SchedStatsSnapshot::DequeSteals},
-    {"deque steal cas", "sting_deque_steal_cas_total",
-     &SchedStatsSnapshot::DequeStealCas},
-    {"vp parks", "sting_vp_parks_total", &SchedStatsSnapshot::VpParks},
-    {"vp unparks", "sting_vp_unparks_total",
-     &SchedStatsSnapshot::VpUnparks},
-    {"preempts delivered", "sting_preempts_delivered_total",
-     &SchedStatsSnapshot::PreemptsDelivered},
-    {"preempts deferred", "sting_preempts_deferred_total",
-     &SchedStatsSnapshot::PreemptsDeferred},
-    {"threads created", "sting_threads_created_total",
-     &SchedStatsSnapshot::ThreadsCreated},
-    {"threads terminated", "sting_threads_terminated_total",
-     &SchedStatsSnapshot::ThreadsTerminated},
-    {"blocks", "sting_blocks_total", &SchedStatsSnapshot::Blocks},
-    {"wakeups", "sting_wakeups_total", &SchedStatsSnapshot::Wakeups},
-    {"net accepts", "sting_net_accepts_total",
-     &SchedStatsSnapshot::NetAccepts},
-    {"net reads", "sting_net_reads_total", &SchedStatsSnapshot::NetReads},
-    {"net writes", "sting_net_writes_total",
-     &SchedStatsSnapshot::NetWrites},
-    {"net bp stalls", "sting_net_backpressure_stalls_total",
-     &SchedStatsSnapshot::NetBackpressureStalls},
-    {"net retries", "sting_net_retries_total",
-     &SchedStatsSnapshot::NetRetries},
-    {"net breaker opens", "sting_net_breaker_opens_total",
-     &SchedStatsSnapshot::NetBreakerOpens},
-    {"net shedded", "sting_net_shedded_total",
-     &SchedStatsSnapshot::NetShedded},
-    {"pool checkout waits", "sting_pool_checkout_waits_total",
-     &SchedStatsSnapshot::PoolCheckoutWaits},
-    {"tuple handoffs", "sting_tuple_handoffs_total",
-     &SchedStatsSnapshot::TupleHandoffs},
-    {"tuple wakeups", "sting_tuple_wakeups_total",
-     &SchedStatsSnapshot::TupleWakeups},
-    {"router routes", "sting_router_routes_total",
-     &SchedStatsSnapshot::RouterRoutes},
-    {"router fanouts", "sting_router_fanouts_total",
-     &SchedStatsSnapshot::RouterFanouts},
-    {"router retracts", "sting_router_retracts_total",
-     &SchedStatsSnapshot::RouterRetracts},
-    {"router failovers", "sting_router_failovers_total",
-     &SchedStatsSnapshot::RouterFailovers},
-    {"repl forwards", "sting_repl_forwards_total",
-     &SchedStatsSnapshot::ReplForwards},
-    {"repl promotions", "sting_repl_promotions_total",
-     &SchedStatsSnapshot::ReplPromotions},
-    {"repl catchup tuples", "sting_repl_catchup_tuples_total",
-     &SchedStatsSnapshot::ReplCatchupTuples},
+#define STING_ROW(Field, Label, Metric)                                       \
+  {Label, Metric, &SchedStatsSnapshot::Field},
+    STING_SCHED_COUNTERS(STING_ROW)
+#undef STING_ROW
     {"trace events", "sting_trace_events_total",
      &SchedStatsSnapshot::TraceEvents},
     {"trace drops", "sting_trace_drops_total",

@@ -24,6 +24,7 @@
 #include "support/Histogram.h"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,6 +60,103 @@ private:
   std::atomic<std::uint64_t> Value{0};
 };
 
+// The counter lists: the only declaration of each scheduler counter.
+// Each entry is X(Field, report label, metric name); the SchedStats and
+// SchedStatsSnapshot fields, snapshot(), operator+= and counterRows() are
+// all generated from them, so a counter is one line here. The two lists
+// are the two halves of the block's cache-line split (see SchedStats).
+
+/// Off-VP-written line: the owner inc()s these for its own events,
+/// threads outside every VP incShared() them. An owner inc() that
+/// overlaps a remote incShared() can lose one of the two counts; the
+/// lifecycle pair is exact because VP 0, the only VP remote callers charge
+/// for it, increments it with incShared() too.
+#define STING_SCHED_SHARED_COUNTERS(X)                                        \
+  /* schedulables this VP inserted into a queue (off-VP: the target) */      \
+  X(Enqueues, "enqueues", "sting_enqueues_total")                             \
+  /* unparks delivered from this VP (off-VP, e.g. the clock: the target) */  \
+  X(Wakeups, "wakeups", "sting_wakeups_total")                                \
+  /* cross-VP enqueues this VP posted to a mailbox (off-VP: the target) */   \
+  X(MailboxPosts, "mailbox posts", "sting_mailbox_posts_total")               \
+  /* threads this VP created (off-VP: VP 0) */                               \
+  X(ThreadsCreated, "threads created", "sting_threads_created_total")         \
+  /* threads determined on this VP, however they ended (off-VP: VP 0) */     \
+  X(ThreadsTerminated, "threads terminated", "sting_threads_terminated_total")
+
+/// Owner-written lines: only the owning VP's OS thread writes.
+#define STING_SCHED_OWNER_COUNTERS(X)                                         \
+  /* schedulables popped by this VP's scheduler loop */                      \
+  X(Dequeues, "dequeues", "sting_dequeues_total")                             \
+  /* popped entries whose thread was already taken */                        \
+  X(SkippedStale, "stale skips", "sting_stale_skips_total")                   \
+  /* items the owner drained from its mailbox */                             \
+  X(MailboxDrains, "mailbox drains", "sting_mailbox_drains_total")            \
+  /* Context switches: scheduler into a thread, then how it got there */     \
+  X(Dispatches, "dispatches", "sting_dispatches_total")                       \
+  X(FreshBinds, "  fresh binds", "sting_fresh_binds_total")                   \
+  X(Resumes, "  resumes", "sting_resumes_total")                              \
+  /* ...and why it switched back: explicit yield, block, termination */      \
+  X(Yields, "yields", "sting_yields_total")                                   \
+  X(Parks, "parks", "sting_parks_total")                                      \
+  X(Exits, "exits", "sting_exits_total")                                      \
+  /* times the policy's vpIdle hook ran */                                   \
+  X(IdleCalls, "idle calls", "sting_idle_calls_total")                        \
+  /* TCB cache (paper 4.2: stack/TCB reuse is the fork fast path) */         \
+  X(TcbReuses, "tcb reuses", "sting_tcb_reuses_total")                        \
+  X(TcbAllocs, "tcb allocs", "sting_tcb_allocs_total")                        \
+  /* Thunk stealing */                                                       \
+  X(StealsAttempted, "steals attempted", "sting_steals_attempted_total")      \
+  X(StealsSucceeded, "steals succeeded", "sting_steals_succeeded_total")      \
+  X(StealsFailed, "steals failed", "sting_steals_failed_total")               \
+  /* Ready-queue stealing: elements stolen, failed (retried) steal CASes */  \
+  X(DequeSteals, "deque steals", "sting_deque_steals_total")                  \
+  X(DequeStealCas, "deque steal cas", "sting_deque_steal_cas_total")          \
+  /* Idle protocol (DESIGN.md section 8): a VP parks when its dispatch loop  \
+     finds no work anywhere; an unpark is the dispatch that ends it */       \
+  X(VpParks, "vp parks", "sting_vp_parks_total")                              \
+  X(VpUnparks, "vp unparks", "sting_vp_unparks_total")                        \
+  /* Preemption: flag consumed at a checkpoint, or seen while disabled */    \
+  X(PreemptsDelivered, "preempts delivered",                                  \
+    "sting_preempts_delivered_total")                                         \
+  X(PreemptsDeferred, "preempts deferred", "sting_preempts_deferred_total")   \
+  /* parkCurrent entries (intent to block) */                                \
+  X(Blocks, "blocks", "sting_blocks_total")                                   \
+  /* Network subsystem (src/net), charged to the VP that ran the op:        \
+     accepts, read/write syscalls, writers parked on the high-water mark,   \
+     client retries, breaker opens, connections shed past the admission     \
+     budget, pool checkouts that parked at the cap */                        \
+  X(NetAccepts, "net accepts", "sting_net_accepts_total")                     \
+  X(NetReads, "net reads", "sting_net_reads_total")                           \
+  X(NetWrites, "net writes", "sting_net_writes_total")                        \
+  X(NetBackpressureStalls, "net bp stalls",                                   \
+    "sting_net_backpressure_stalls_total")                                    \
+  X(NetRetries, "net retries", "sting_net_retries_total")                     \
+  X(NetBreakerOpens, "net breaker opens", "sting_net_breaker_opens_total")    \
+  X(NetShedded, "net shedded", "sting_net_shedded_total")                     \
+  X(PoolCheckoutWaits, "pool checkout waits",                                 \
+    "sting_pool_checkout_waits_total")                                        \
+  /* Tuple space (src/tuple), charged to the depositing VP: deposits        \
+     handed straight to a waiter, threads woken (deliveries + nudges) */     \
+  X(TupleHandoffs, "tuple handoffs", "sting_tuple_handoffs_total")            \
+  X(TupleWakeups, "tuple wakeups", "sting_tuple_wakeups_total")               \
+  /* Sharded router (src/dist), charged to the VP that routed: ops routed   \
+     to a home shard, fan-out legs armed, legs retracted while armed, ops   \
+     rerouted off an open-breaker shard */                                   \
+  X(RouterRoutes, "router routes", "sting_router_routes_total")               \
+  X(RouterFanouts, "router fanouts", "sting_router_fanouts_total")            \
+  X(RouterRetracts, "router retracts", "sting_router_retracts_total")         \
+  X(RouterFailovers, "router failovers", "sting_router_failovers_total")       \
+  /* Shard replication (DESIGN.md section 14): copies forwarded to a backup \
+     (on the primary's VPs), promotions applied (where the epoch bump ran), \
+     tuples installed by catch-up pulls (on the rejoining backup's VPs) */   \
+  X(ReplForwards, "repl forwards", "sting_repl_forwards_total")               \
+  X(ReplPromotions, "repl promotions", "sting_repl_promotions_total")         \
+  X(ReplCatchupTuples, "repl catchup tuples",                                 \
+    "sting_repl_catchup_tuples_total")
+
+#define STING_SCHED_COUNTERS(X)                                               \
+  STING_SCHED_SHARED_COUNTERS(X) STING_SCHED_OWNER_COUNTERS(X)
+
 struct SchedStatsSnapshot;
 
 /// The per-VP counter block. Padded to cache-line multiples so two VPs'
@@ -67,90 +165,15 @@ struct SchedStatsSnapshot;
 /// incShared() live on their own line: a remote increment must not
 /// invalidate the line holding the owner's dispatch-loop counters.
 struct alignas(64) SchedStats {
-  // --- Off-VP-written line: the owner inc()s these for its own events,
-  // threads outside every VP incShared() them. An owner inc() that
-  // overlaps a remote incShared() can lose one of the two counts; the
-  // lifecycle pair is exact because VP 0, the only VP remote callers
-  // charge for it, increments it with incShared() too. ------------------
-  Counter Enqueues;     ///< schedulables this VP inserted into a queue
-                        ///< (off-VP inserts: charged to the target)
-  Counter Wakeups;      ///< unparks delivered from this VP (off-VP
-                        ///< deliveries, e.g. the clock: the target)
-  Counter MailboxPosts; ///< cross-VP enqueues this VP posted to a mailbox
-                        ///< (off-VP posts: charged to the target)
-  Counter ThreadsCreated;    ///< threads this VP created (off-VP: VP 0)
-  Counter ThreadsTerminated; ///< threads determined on this VP, however
-                             ///< they ended (off-VP: VP 0)
-
-  // --- Owner-written lines: only the owning VP's OS thread writes. ------
-  alignas(64) Counter Dequeues; ///< schedulables popped by this VP's
-                                ///< scheduler loop
-  Counter SkippedStale; ///< popped entries whose thread was already taken
-  Counter MailboxDrains; ///< items the owner drained from its mailbox
-
-  // Context switches.
-  Counter Dispatches;  ///< switches from the scheduler into a thread
-  Counter FreshBinds;  ///< dispatches that bound a fresh thread to a TCB
-  Counter Resumes;     ///< dispatches that resumed a suspended TCB
-  Counter Yields;      ///< switches back caused by an explicit yield
-  Counter Parks;       ///< switches back caused by blocking
-  Counter Exits;       ///< switches back caused by thread termination
-  Counter IdleCalls;   ///< times the policy's vpIdle hook ran
-
-  // TCB cache (paper 4.2: stack/TCB reuse is the fork fast path).
-  Counter TcbReuses; ///< TCB acquisitions served from the per-VP cache
-  Counter TcbAllocs; ///< TCB acquisitions that had to allocate
-
-  // Thunk stealing.
-  Counter StealsAttempted;
-  Counter StealsSucceeded;
-  Counter StealsFailed;
-
-  // Ready-queue stealing (the Chase-Lev migration edge).
-  Counter DequeSteals;    ///< elements this VP stole from sibling deques
-  Counter DequeStealCas;  ///< failed steal CASes (lost races, retried)
-
-  // Idle protocol (DESIGN.md section 8): a VP "parks" when its dispatch
-  // loop finds no work anywhere and yields to its physical processor,
-  // which then sleeps on the machine eventcount.
-  Counter VpParks;   ///< transitions into the parked-idle state
-  Counter VpUnparks; ///< dispatches that ended a parked-idle episode
-
-  // Preemption.
-  Counter PreemptsDelivered; ///< checkpoint consumed a flag and yielded
-  Counter PreemptsDeferred;  ///< flag seen while preemption was disabled
-
-  // Blocking, attributed to the VP that ran the op.
-  Counter Blocks; ///< parkCurrent entries (intent to block)
-
-  // Network subsystem (src/net), attributed to the VP whose thread ran the
-  // operation.
-  Counter NetAccepts;            ///< connections accepted by servers
-  Counter NetReads;              ///< successful socket read syscalls
-  Counter NetWrites;             ///< successful socket write syscalls
-  Counter NetBackpressureStalls; ///< writers parked on the high-water mark
-  Counter NetRetries;            ///< client request attempts after the first
-  Counter NetBreakerOpens;       ///< circuit-breaker closed/half-open -> open
-  Counter NetShedded;            ///< connections shed past the admission budget
-  Counter PoolCheckoutWaits;     ///< pool checkouts that parked at the cap
-
-  // Tuple space (src/tuple), attributed to the depositing VP.
-  Counter TupleHandoffs; ///< deposits transferred straight to a waiter
-  Counter TupleWakeups;  ///< threads woken by deposits (deliveries+nudges)
-
-  // Sharded router (src/dist), attributed to the VP whose thread ran the
-  // routing decision.
-  Counter RouterRoutes;    ///< operations routed to a home shard
-  Counter RouterFanouts;   ///< fan-out registration legs armed on shards
-  Counter RouterRetracts;  ///< fan-out legs retracted while still armed
-  Counter RouterFailovers; ///< operations rerouted off an open-breaker shard
-
-  // Shard replication (src/dist Replica, DESIGN.md §14). Forwards land on
-  // the primary shard's VPs, promotions on whichever side applied the
-  // epoch bump, catch-up tuples on the rejoining backup's VPs.
-  Counter ReplForwards;      ///< put/retract copies forwarded to a backup
-  Counter ReplPromotions;    ///< slot promotions applied (epoch advanced)
-  Counter ReplCatchupTuples; ///< tuples installed by anti-entropy pulls
+#define STING_COUNTER_FIELD(Field, Label, Metric) Counter Field;
+#define STING_COUNT_ONE(Field, Label, Metric) +1
+  STING_SCHED_SHARED_COUNTERS(STING_COUNTER_FIELD)
+  /// Fills the off-VP-written line, so the owner lines start on the next.
+  char SharedLinePad[64 - (0 STING_SCHED_SHARED_COUNTERS(STING_COUNT_ONE)) *
+                              sizeof(Counter)];
+  STING_SCHED_OWNER_COUNTERS(STING_COUNTER_FIELD)
+#undef STING_COUNT_ONE
+#undef STING_COUNTER_FIELD
 
   /// Run-slice lengths (dispatch to switch-back), recorded only while
   /// tracing is enabled so the default path never pays the extra clock
@@ -168,53 +191,15 @@ struct alignas(64) SchedStats {
   SchedStatsSnapshot snapshot() const;
 };
 
+static_assert(offsetof(SchedStats, Dequeues) == 64,
+              "the owner lines must start on the block's second line");
+
 /// A plain-integer copy of SchedStats, safe to aggregate and pass around.
 /// Field names match SchedStats so reporting code reads naturally.
 struct SchedStatsSnapshot {
-  std::uint64_t Enqueues = 0;
-  std::uint64_t Dequeues = 0;
-  std::uint64_t SkippedStale = 0;
-  std::uint64_t MailboxPosts = 0;
-  std::uint64_t MailboxDrains = 0;
-  std::uint64_t Dispatches = 0;
-  std::uint64_t FreshBinds = 0;
-  std::uint64_t Resumes = 0;
-  std::uint64_t Yields = 0;
-  std::uint64_t Parks = 0;
-  std::uint64_t Exits = 0;
-  std::uint64_t IdleCalls = 0;
-  std::uint64_t TcbReuses = 0;
-  std::uint64_t TcbAllocs = 0;
-  std::uint64_t StealsAttempted = 0;
-  std::uint64_t StealsSucceeded = 0;
-  std::uint64_t StealsFailed = 0;
-  std::uint64_t DequeSteals = 0;
-  std::uint64_t DequeStealCas = 0;
-  std::uint64_t VpParks = 0;
-  std::uint64_t VpUnparks = 0;
-  std::uint64_t PreemptsDelivered = 0;
-  std::uint64_t PreemptsDeferred = 0;
-  std::uint64_t ThreadsCreated = 0;
-  std::uint64_t ThreadsTerminated = 0;
-  std::uint64_t Blocks = 0;
-  std::uint64_t Wakeups = 0;
-  std::uint64_t NetAccepts = 0;
-  std::uint64_t NetReads = 0;
-  std::uint64_t NetWrites = 0;
-  std::uint64_t NetBackpressureStalls = 0;
-  std::uint64_t NetRetries = 0;
-  std::uint64_t NetBreakerOpens = 0;
-  std::uint64_t NetShedded = 0;
-  std::uint64_t PoolCheckoutWaits = 0;
-  std::uint64_t TupleHandoffs = 0;
-  std::uint64_t TupleWakeups = 0;
-  std::uint64_t RouterRoutes = 0;
-  std::uint64_t RouterFanouts = 0;
-  std::uint64_t RouterRetracts = 0;
-  std::uint64_t RouterFailovers = 0;
-  std::uint64_t ReplForwards = 0;
-  std::uint64_t ReplPromotions = 0;
-  std::uint64_t ReplCatchupTuples = 0;
+#define STING_SNAPSHOT_FIELD(Field, Label, Metric) std::uint64_t Field = 0;
+  STING_SCHED_COUNTERS(STING_SNAPSHOT_FIELD)
+#undef STING_SNAPSHOT_FIELD
   /// Snapshot-only (no SchedStats counterpart): filled by the machine at
   /// snapshot time from the VP's trace ring, so truncated traces are
   /// detectable instead of silently misleading.
@@ -235,7 +220,8 @@ struct CounterRow {
   std::uint64_t SchedStatsSnapshot::*Field;
 };
 
-/// The full counter table, in report order.
+/// The full counter table, in report order: the list order, then the two
+/// trace-ring rows.
 const CounterRow *counterRows(std::size_t &Count);
 
 /// Renders the aggregate and the per-VP breakdown as a plain-text table.

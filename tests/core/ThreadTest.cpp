@@ -15,8 +15,11 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -138,9 +141,10 @@ TEST(ThreadTest, GenealogyParentAndGroup) {
   VirtualMachine Vm;
   AnyValue V = Vm.run([&]() -> AnyValue {
     Thread *Self = currentThread();
-    ThreadRef Child = ThreadController::forkThread([]() -> AnyValue {
+    std::uint64_t SelfId = Self->id();
+    ThreadRef Child = ThreadController::forkThread([SelfId]() -> AnyValue {
       Thread *Me = currentThread();
-      return AnyValue(Me->parent() != nullptr);
+      return AnyValue(Me->parentId() == SelfId);
     });
     bool ChildSawParent =
         ThreadController::threadValue(*Child).as<bool>();
@@ -156,8 +160,51 @@ TEST(ThreadTest, NoGenealogyOption) {
   Opts.NoGenealogy = true;
   ThreadRef T = Vm.fork([]() -> AnyValue { return AnyValue(); }, Opts);
   T->join();
-  EXPECT_EQ(T->parent(), nullptr);
+  EXPECT_EQ(T->parentId(), 0u);
   EXPECT_EQ(T->group(), nullptr);
+}
+
+/// Counts its own destruction; a thread's result holds one, so the count
+/// shows whether the thread itself was freed.
+struct DtorCounter {
+  std::atomic<int> *Count;
+  explicit DtorCounter(std::atomic<int> &C) : Count(&C) {}
+  DtorCounter(DtorCounter &&O) noexcept
+      : Count(std::exchange(O.Count, nullptr)) {}
+  ~DtorCounter() {
+    if (Count)
+      Count->fetch_add(1);
+  }
+};
+
+struct ParentResult {
+  DtorCounter Tag;
+  std::vector<ThreadRef> Children;
+};
+
+// A parent whose result holds its children: the children must not hold
+// the parent in turn, or neither is ever freed.
+TEST(ThreadTest, ParentReturningItsChildrenIsFreed) {
+  constexpr int NumChildren = 4;
+  std::atomic<int> Freed{0};
+  VirtualMachine Vm;
+  ThreadRef Parent = Vm.fork([&Freed]() -> AnyValue {
+    ParentResult R{DtorCounter(Freed), {}};
+    for (int I = 0; I != NumChildren; ++I)
+      R.Children.push_back(ThreadController::forkThread(
+          [&Freed]() -> AnyValue { return AnyValue(DtorCounter(Freed)); }));
+    for (ThreadRef &C : R.Children)
+      ThreadController::threadValue(*C);
+    return AnyValue(std::move(R));
+  });
+  Parent->join();
+  EXPECT_EQ(Freed.load(), 0);
+  Parent.reset();
+  // A VP may still hold a reference for a moment after the join returns.
+  for (int I = 0; I != 2000 && Freed.load() != 1 + NumChildren; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(Freed.load(), 1 + NumChildren)
+      << "the parent or a child outlived its last outside reference";
 }
 
 TEST(ThreadTest, ThreadIdsAreUnique) {
