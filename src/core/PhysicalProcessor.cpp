@@ -66,7 +66,8 @@ void PhysicalProcessor::run() {
     }
 
     ++Switches;
-    Vp->Pp = this;
+    if (Vp->Pp != this) // a VP is pinned to one PP: keep its line clean
+      Vp->Pp = this;
     currentCursor().Vp = Vp;
 #ifdef STING_TRACE
     // Point this OS thread's event sink at the VP it is about to run: a VP

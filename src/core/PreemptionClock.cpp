@@ -90,9 +90,12 @@ void PreemptionClock::TimerHeap::siftDown(std::size_t I) {
 
 PreemptionClock::Timer PreemptionClock::TimerHeap::removeAt(std::size_t I) {
   Timer Removed = std::move(Timers[I]);
+  // Release: pairs with cancelTimeout's lock-free acquire check, so a
+  // recycling owner that sees NoTimeout also sees whatever the clock did
+  // with the TCB before removing its timer (fireDueTimers' retain).
   if (Removed.Owner)
     Removed.Owner->TimeoutIndex.store(Tcb::NoTimeout,
-                                      std::memory_order_relaxed);
+                                      std::memory_order_release);
   Timer Last = std::move(Timers.back());
   Timers.pop_back();
   if (I != Timers.size()) {
@@ -144,7 +147,10 @@ void PreemptionClock::scheduleResume(ThreadRef T, std::uint64_t DelayNanos) {
 
 void PreemptionClock::scheduleTimeout(Tcb &C, std::uint64_t DeadlineNanos) {
   cancelTimeout(C);
-  arm(C.vp()->index(), Timer{DeadlineNanos, ThreadRef(C.thread()), &C});
+  // No thread reference: while the timer is in a heap the TCB cannot be
+  // recycled (recycleTcb cancels it first), so C.Current keeps the thread
+  // alive until fireDueTimers retains it.
+  arm(C.vp()->index(), Timer{DeadlineNanos, ThreadRef(), &C});
 }
 
 void PreemptionClock::cancelTimeout(Tcb &C) {
@@ -152,14 +158,13 @@ void PreemptionClock::cancelTimeout(Tcb &C) {
   // a concurrent arm, and TimeoutHeap is the owner's own last write; any
   // other index is re-checked under that heap's lock (the clock may have
   // fired the timer since).
-  if (C.TimeoutIndex.load(std::memory_order_relaxed) == Tcb::NoTimeout)
+  if (C.TimeoutIndex.load(std::memory_order_acquire) == Tcb::NoTimeout)
     return;
-  Timer Removed; // its ThreadRef drops after the lock
   TimerHeap &H = Heaps[C.TimeoutHeap];
   std::lock_guard<SpinLock> Guard(H.Lock);
   if (std::size_t I = C.TimeoutIndex.load(std::memory_order_relaxed);
       I != Tcb::NoTimeout) {
-    Removed = H.removeAt(I);
+    H.removeAt(I); // an armed park timer holds no reference to drop
     H.publish();
   }
 }
@@ -200,8 +205,13 @@ void PreemptionClock::fireDueTimers(std::uint64_t Now) {
     if (H.Earliest.load(std::memory_order_seq_cst) > Now)
       continue;
     std::lock_guard<SpinLock> Guard(H.Lock);
-    while (!H.Timers.empty() && H.Timers.front().DeadlineNanos <= Now)
+    while (!H.Timers.empty() && H.Timers.front().DeadlineNanos <= Now) {
+      // A park timer holds no reference; take one while the timer still
+      // pins the TCB's binding, before removeAt releases it.
+      if (Timer &Front = H.Timers.front(); Front.Owner)
+        Front.Target = ThreadRef(Front.Owner->thread());
       Due.push_back(H.removeAt(0));
+    }
     H.publish();
   }
   for (const Timer &T : Due) {

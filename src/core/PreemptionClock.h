@@ -95,6 +95,8 @@ public:
 private:
   struct Timer {
     std::uint64_t DeadlineNanos = 0;
+    /// The thread to resume. Empty for a park timeout while it is armed:
+    /// fireDueTimers retains Owner's thread when the timer comes due.
     ThreadRef Target;
     /// Null for a resume (threadRun the target when a suspend quantum
     /// elapses); otherwise the parked TCB a park timeout is delivered to,

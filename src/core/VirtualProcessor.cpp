@@ -34,6 +34,14 @@ VirtualProcessor::VirtualProcessor(VirtualMachine &Vm, unsigned Index,
                                    std::unique_ptr<PolicyManager> Policy)
     : Vm(&Vm), Index(Index), Policy(std::move(Policy)),
       Stacks(Vm.config().StackSize) {
+  // offsetof on this non-standard-layout class is conditionally
+  // supported; GCC and Clang lay it out in declaration order.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  static_assert(offsetof(VirtualProcessor, Pp) < 64 &&
+                    offsetof(VirtualProcessor, SliceDeadline) == 64,
+                "remote enqueuers' fields get a line the owner never writes");
+#pragma GCC diagnostic pop
   STING_CHECK(this->Policy, "virtual processor needs a policy manager");
   SchedStack = &Stacks.allocate();
   initContext(SchedCtx, SchedStack->base(), SchedStack->size(),

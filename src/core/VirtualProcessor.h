@@ -104,13 +104,6 @@ public:
     return Running.load(std::memory_order_relaxed) != nullptr;
   }
 
-  // --- Preemption interface used by the machine clock -------------------
-
-  /// Absolute deadline (ns) of the running thread's slice; 0 while idle.
-  std::atomic<std::uint64_t> SliceDeadline{0};
-  /// Raised by the clock when the slice expires; consumed at checkpoints.
-  std::atomic<bool> PreemptFlag{false};
-
   // --- Topology-relative addressing (paper section 3.2) -----------------
 
   VirtualProcessor &leftVp() const;
@@ -150,11 +143,24 @@ private:
   /// Recycles \p C after its thread exited.
   void recycleTcb(Tcb &C);
 
+  // Read-mostly line: every enqueue onto this VP, remote ones included,
+  // loads Policy, so nothing the owner writes per switch lives here.
   VirtualMachine *Vm;
   unsigned Index;
   std::unique_ptr<PolicyManager> Policy;
+  /// Set when a physical processor first runs this VP (pinned for life).
   PhysicalProcessor *Pp = nullptr;
 
+public:
+  // --- Preemption interface used by the machine clock -------------------
+  // The first owner-written line (with SchedCtx, Running and Action).
+
+  /// Absolute deadline (ns) of the running thread's slice; 0 while idle.
+  alignas(64) std::atomic<std::uint64_t> SliceDeadline{0};
+  /// Raised by the clock when the slice expires; consumed at checkpoints.
+  std::atomic<bool> PreemptFlag{false};
+
+private:
   Context SchedCtx;
   Stack *SchedStack = nullptr;
   bool SchedStarted = false;

@@ -488,7 +488,7 @@ Replica::PullReply Replica::onPull(std::uint64_t S, std::uint64_t Epoch,
   return R;
 }
 
-void Replica::noteTaken(const std::vector<gc::Value> &Fields) {
+void Replica::noteTaken(std::span<const gc::Value> Fields) {
   if (inert() || Closing.load(std::memory_order_acquire))
     return;
   Tuple T;
@@ -541,7 +541,7 @@ void Replica::noteTaken(const std::vector<gc::Value> &Fields) {
   }
 }
 
-bool Replica::noteRestored(const std::vector<gc::Value> &Fields) {
+bool Replica::noteRestored(std::span<const gc::Value> Fields) {
   if (inert() || Closing.load(std::memory_order_acquire))
     return true;
   Tuple T;

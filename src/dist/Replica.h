@@ -50,6 +50,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -188,7 +189,7 @@ public:
   /// this shard never deposited as primary (locally seeded, or consumed
   /// after a demotion) are skipped. Call with the match's resolved
   /// fields.
-  void noteTaken(const std::vector<gc::Value> &Fields);
+  void noteTaken(std::span<const gc::Value> Fields);
 
   /// A consumed tuple's delivery was dropped unsent and the tuple is
   /// going back: undo noteTaken. Restores the backup copy (one RPC) and
@@ -197,7 +198,7 @@ public:
   /// instead re-routed to the current primary (so it lands where takes
   /// look), and false is returned unless that re-route failed — the
   /// local deposit is then the conservation fallback. Blocks.
-  bool noteRestored(const std::vector<gc::Value> &Fields);
+  bool noteRestored(std::span<const gc::Value> Fields);
 
   /// This shard's ring position. Pure.
   std::size_t selfIndex() const { return Self; }

@@ -112,7 +112,7 @@ public:
     Fr->Payload = W.payload();
     Fr->Id = Id;
     if (Remove) {
-      Fr->Redeposit = std::move(M.Fields);
+      Fr->Redeposit.assign(M.Fields.begin(), M.Fields.end());
       for (gc::Value &Slot : Fr->Redeposit)
         Space->heap().addRoot(&Slot);
     }

@@ -860,7 +860,7 @@ Status SpaceRouter::matchOnce(const std::vector<std::size_t> &Cands,
     // output slots first: each intern/string allocation may collect, and
     // earlier values must survive later allocations.
     gc::GlobalHeap &H = sharedHeap();
-    Out.Fields.assign(Op.Delivered.size(), gc::Value());
+    Out.Fields.assign(Op.Delivered.size());
     Out.Flow = Op.Flow;
     for (gc::Value &Slot : Out.Fields)
       H.addRoot(&Slot);
@@ -873,15 +873,7 @@ Status SpaceRouter::matchOnce(const std::vector<std::size_t> &Cands,
       else
         Out.Fields[I] = F.value();
     }
-    std::size_t NumBindings = 0;
-    for (const Field &F : Template)
-      if (F.isFormal())
-        NumBindings = std::max<std::size_t>(NumBindings, F.formalIndex() + 1);
-    Out.Bindings.assign(NumBindings, gc::Value());
-    for (std::size_t P = 0; P != Template.size() && P != Out.Fields.size();
-         ++P)
-      if (Template[P].isFormal())
-        Out.Bindings[Template[P].formalIndex()] = Out.Fields[P];
+    Out.bindFormals(Template);
     for (gc::Value &Slot : Out.Fields)
       H.removeRoot(&Slot);
     // The data's causal history crosses the shard hop with it, exactly

@@ -21,6 +21,7 @@
 #include "tuple/Tuple.h"
 #include "tuple/TupleSpace.h"
 
+#include <initializer_list>
 #include <optional>
 
 namespace sting {
@@ -73,12 +74,8 @@ std::unique_ptr<TupleSpaceRepBase> makeHashedRep(PerVpTupleStats &Stats);
 std::unique_ptr<TupleSpaceRepBase> makeSpecializedRep(TupleSpaceRep Rep,
                                                       PerVpTupleStats &Stats);
 
-/// Shared helper: number of formals referenced by \p Template (max index
-/// + 1); also validates that formals appear only in templates.
-std::size_t bindingCount(const Tuple &Template);
-
-/// Shared helper: builds a Match from resolved values and a template.
-Match buildMatch(const std::vector<gc::Value> &Values,
+/// Shared helper: a Match of \p Values bound by \p Template's formals.
+Match buildMatch(std::initializer_list<gc::Value> Values,
                  const Tuple &Template);
 
 } // namespace detail

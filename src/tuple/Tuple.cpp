@@ -6,5 +6,18 @@
 
 #include "tuple/Tuple.h"
 
-// Field and Tuple are header-only; this TU anchors the module and hosts
-// nothing else at present.
+namespace sting {
+
+void Match::bindFormals(const Tuple &Template) {
+  std::size_t Count = 0;
+  for (const Field &F : Template)
+    if (F.isFormal())
+      Count = std::max(Count, std::size_t(F.formalIndex()) + 1);
+  Bindings.assign(Count, gc::Value::nil());
+  const std::size_t N = std::min(Template.size(), Fields.size());
+  for (std::size_t I = 0; I != N; ++I)
+    if (Template[I].isFormal())
+      Bindings[Template[I].formalIndex()] = Fields[I];
+}
+
+} // namespace sting

@@ -88,22 +88,11 @@ TupleSpaceRep chooseRepresentation(const TupleOpsProfile &P) {
   return TupleSpaceRep::Hashed;
 }
 
-std::size_t detail::bindingCount(const Tuple &Template) {
-  std::size_t Count = 0;
-  for (const Field &F : Template)
-    if (F.isFormal())
-      Count = std::max(Count, std::size_t(F.formalIndex()) + 1);
-  return Count;
-}
-
-Match detail::buildMatch(const std::vector<gc::Value> &Values,
+Match detail::buildMatch(std::initializer_list<gc::Value> Values,
                          const Tuple &Template) {
   Match M;
-  M.Fields = Values;
-  M.Bindings.resize(bindingCount(Template), gc::Value::nil());
-  for (std::size_t I = 0; I != Template.size(); ++I)
-    if (Template[I].isFormal())
-      M.Bindings[Template[I].formalIndex()] = Values[I];
+  M.Fields.assign(Values.begin(), Values.end());
+  M.bindFormals(Template);
   return M;
 }
 
@@ -1049,10 +1038,11 @@ private:
   /// Builds the match from an all-datum entry (a Yes scan hit or a
   /// delivered slot); no lock needed, the fields can no longer change.
   static Match matchFromEntry(const EntryRef &E, const Tuple &Template) {
-    std::vector<gc::Value> Values(Template.size());
+    Match M;
+    M.Fields.assign(Template.size());
     for (std::size_t I = 0; I != Template.size(); ++I)
-      Values[I] = E->Fields[I].value();
-    Match M = buildMatch(Values, Template);
+      M.Fields[I] = E->Fields[I].value();
+    M.bindFormals(Template);
     M.Flow = E->Flow;
     return M;
   }
@@ -1114,12 +1104,12 @@ private:
       if (!Candidate)
         return std::nullopt;
 
-      std::vector<gc::Value> Values;
-      EntryMatch R = resolveEntry(*Candidate, Template, AllowSteal, Values);
+      Match M;
+      EntryMatch R = resolveEntry(*Candidate, Template, AllowSteal, M.Fields);
       if (R == EntryMatch::Yes) {
         if (Remove && !removeFromBin(B, *Candidate))
           continue; // a competing taker won; re-walk the bin
-        Match M = buildMatch(Values, Template);
+        M.bindFormals(Template);
         M.Flow = Candidate->Flow;
         return M;
       }
@@ -1178,8 +1168,8 @@ private:
 
   /// Full resolution outside the bin lock. Fills \p Values on success.
   EntryMatch resolveEntry(Entry &E, const Tuple &Template, bool AllowSteal,
-                          std::vector<gc::Value> &Values) {
-    Values.resize(Template.size());
+                          MatchValues &Values) {
+    Values.assign(Template.size());
     for (std::size_t I = 0; I != Template.size(); ++I) {
       gc::Value V;
       ThreadRef Pending;
@@ -1218,8 +1208,8 @@ private:
   ThreadRef firstUnresolvedThread(Entry &E) {
     std::lock_guard<SpinLock> Guard(E.Lock);
     for (const Field &F : E.Fields)
-      if (F.isLiveThread() && !F.thread()->isDetermined())
-        return F.thread();
+      if (ThreadRef T = F.thread(); T && !T->isDetermined())
+        return T;
     return ThreadRef();
   }
 

@@ -152,7 +152,8 @@ TEST_P(TupleGcTest, ValuesHandedToParkedTakersSurviveFullCollection) {
     for (std::size_t I = 0; I != N; ++I) {
       const std::uint64_t Parked = Vm.aggregateStats().Blocks;
       Takers.push_back(TC::forkThread([&, I]() -> AnyValue {
-        Got[I] = Ts->take(templateFor(Rep, I)).Bindings;
+        Match M = Ts->take(templateFor(Rep, I));
+        Got[I].assign(M.Bindings.begin(), M.Bindings.end());
         return AnyValue();
       }));
       while (Vm.aggregateStats().Blocks == Parked)
