@@ -59,7 +59,8 @@ enum class EnqueueReason : std::uint8_t {
 /// DESIGN.md section 8) can embed one fastpath::FastPathQueue
 /// (core/policy/FastPath.h) per instance and forward the four mandatory
 /// entry points to it, instead of re-deriving the ownership protocol —
-/// examples/custom_policy.cpp shows a complete policy built this way.
+/// the local FIFO and LIFO policies are built this way, and
+/// examples/custom_policy.cpp shows a complete out-of-tree one.
 class PolicyManager {
 public:
   virtual ~PolicyManager();

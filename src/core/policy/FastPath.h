@@ -54,7 +54,7 @@ inline void postRemote(RemoteMailbox &Mailbox, Schedulable &Item,
 }
 
 /// Owner-side drain: moves every published mailbox item into the owner's
-/// structures via \p Consume and charges the drain counters. Costs two
+/// structures via \p Consume and charges the drain counters. Costs three
 /// uncontended loads when the mailbox is empty (the common case).
 template <typename Fn>
 inline void drainMailbox(RemoteMailbox &Mailbox, VirtualProcessor &Vp,
@@ -71,11 +71,10 @@ inline void drainMailbox(RemoteMailbox &Mailbox, VirtualProcessor &Vp,
 }
 
 /// The whole fast path as one value: a Chase-Lev deque plus a remote
-/// mailbox plus the owner test, for *out-of-tree* policy managers that
-/// want the lock-free protocol without re-deriving it (the in-tree
-/// deque-backed policies compose the pieces directly because they
-/// interleave extra structures — e.g. steal-half's private queue —
-/// between the drain and the pop).
+/// mailbox plus the owner test. The local FIFO and LIFO policies are each
+/// one FastPathQueue, and out-of-tree policy managers can embed one to get
+/// the lock-free protocol without re-deriving it (steal-half composes the
+/// pieces directly because it routes drained TCBs to a private queue).
 ///
 /// Usage, from each PolicyManager entry point:
 ///
@@ -94,9 +93,6 @@ inline void drainMailbox(RemoteMailbox &Mailbox, VirtualProcessor &Vp,
 /// stealTop() is the victim end for cross-instance work stealing.
 class FastPathQueue {
 public:
-  explicit FastPathQueue(std::size_t MailboxCapacity = 1024)
-      : Mailbox(MailboxCapacity) {}
-
   /// Routes by ownership: the owner pushes straight onto the deque
   /// bottom, everyone else posts to the mailbox (with the standard
   /// counters and trace events on both paths).
@@ -104,6 +100,8 @@ public:
                EnqueueReason Reason) {
     if (!onOwner(Vp))
       return postRemote(Mailbox, Item, Vp, Reason);
+    // Read the id before publishing: once the item is visible in the deque
+    // a thief may pop, dispatch and recycle it concurrently.
     const std::uint64_t TraceId = Item.schedThreadId();
     Deque.pushBottom(Item);
     STING_TRACE_EVENT(Enqueue, TraceId,
@@ -112,15 +110,30 @@ public:
   }
 
   /// Owner-side dispatch: drains the mailbox into the deque, then takes
-  /// from the top (FIFO order across both paths).
+  /// from the top (FIFO order across both paths — mailbox items entered
+  /// the machine at their post time, so they join at the bottom).
   Schedulable *dequeue(VirtualProcessor &Vp) {
-    drainMailbox(Mailbox, Vp,
-                 [this](Schedulable &Item) { Deque.pushBottom(Item); });
+    drainToDeque(Vp);
     return Deque.takeTop();
+  }
+
+  /// LIFO dispatch: drains the mailbox into the deque, then pops the
+  /// bottom, so remote posts slot in as if freshly pushed and the newest
+  /// runnable work (local or remote) runs next.
+  Schedulable *dequeueNewest(VirtualProcessor &Vp) {
+    drainToDeque(Vp);
+    return Deque.popBottom();
   }
 
   /// Readable from any thread (idle PPs, the watchdog).
   bool hasReadyWork() const { return !Deque.empty() || !Mailbox.empty(); }
+
+  /// Sampler depths: deque items and undrained mailbox posts.
+  void loadDepths(std::uint64_t &ReadyDepth,
+                  std::uint64_t &MailboxDepth) const {
+    ReadyDepth = Deque.size();
+    MailboxDepth = Mailbox.size();
+  }
 
   /// Victim end for sibling policies: one element off the top, or null.
   Schedulable *stealTop() {
@@ -138,6 +151,11 @@ public:
   }
 
 private:
+  void drainToDeque(VirtualProcessor &Vp) {
+    drainMailbox(Mailbox, Vp,
+                 [this](Schedulable &Item) { Deque.pushBottom(Item); });
+  }
+
   WorkStealingDeque Deque;
   RemoteMailbox Mailbox;
 };

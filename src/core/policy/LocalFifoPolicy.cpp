@@ -39,34 +39,21 @@ public:
   }
 
   Schedulable *getNextThread(VirtualProcessor &Vp) override {
-    // Mailbox items entered the machine at their post time; appending them
-    // at the bottom keeps global FIFO order within this VP.
-    fastpath::drainMailbox(Mailbox, Vp,
-                          [&](Schedulable &Item) { Deque.pushBottom(Item); });
-    return Deque.takeTop(); // FIFO
+    return Q.dequeue(Vp); // FIFO
   }
 
   void enqueueThread(Schedulable &Item, VirtualProcessor &Vp,
                      EnqueueReason Reason) override {
-    if (!fastpath::onOwner(Vp))
-      return fastpath::postRemote(Mailbox, Item, Vp, Reason);
-    // Read the id before publishing: once the item is visible in a queue
-    // another VP (dispatch or steal) may pop and recycle it concurrently.
-    const std::uint64_t TraceId = Item.schedThreadId();
-    Deque.pushBottom(Item);
-    STING_TRACE_EVENT(Enqueue, TraceId,
-                      obs::enqueuePayload(Deque.size(),
-                                          static_cast<std::uint8_t>(Reason)));
+    Q.enqueue(Item, Vp, Reason);
   }
 
   bool hasReadyWork(const VirtualProcessor &) const override {
-    return !Deque.empty() || !Mailbox.empty();
+    return Q.hasReadyWork();
   }
 
   void loadDepths(const VirtualProcessor &, std::uint64_t &ReadyDepth,
                   std::uint64_t &MailboxDepth) const override {
-    ReadyDepth = Deque.size();
-    MailboxDepth = Mailbox.size();
+    Q.loadDepths(ReadyDepth, MailboxDepth);
   }
 
   VirtualProcessor &selectVpForNewThread(VirtualProcessor &) override {
@@ -75,18 +62,14 @@ public:
     return Vm->vp(Cursor++ % Vm->numVps());
   }
 
-  void drain(VirtualProcessor &,
+  void drain(VirtualProcessor &Vp,
              const std::function<void(Schedulable &)> &Drop) override {
-    // Runs single-threaded after the PPs have joined.
-    Mailbox.drain(Drop);
-    while (Schedulable *Item = Deque.takeTop())
-      Drop(*Item);
+    Q.drainAll(Vp, Drop);
   }
 
 private:
   VirtualMachine *Vm;
-  WorkStealingDeque Deque;
-  RemoteMailbox Mailbox;
+  fastpath::FastPathQueue Q;
   /// Next placement, counted from this VP's own index so VPs forking at
   /// the same time start on different targets. Written on every fork, so
   /// it sits on a line of its own, off the vptr line remote enqueuers load.

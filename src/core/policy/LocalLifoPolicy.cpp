@@ -16,7 +16,6 @@
 
 #include "core/PolicyManager.h"
 
-#include "core/VirtualMachine.h"
 #include "core/VirtualProcessor.h"
 #include "core/policy/FastPath.h"
 
@@ -28,58 +27,38 @@ namespace {
 
 class LocalLifoPolicy final : public PolicyManager {
 public:
-  explicit LocalLifoPolicy(VirtualMachine &Vm) : Vm(&Vm) {}
-
   Schedulable *getNextThread(VirtualProcessor &Vp) override {
-    // Remote posts first reach the deque here; they slot in as if freshly
-    // pushed, so the newest runnable work (local or remote) runs next.
-    fastpath::drainMailbox(Mailbox, Vp,
-                          [&](Schedulable &Item) { Deque.pushBottom(Item); });
-    return Deque.popBottom();
+    return Q.dequeueNewest(Vp); // LIFO
   }
 
   void enqueueThread(Schedulable &Item, VirtualProcessor &Vp,
                      EnqueueReason Reason) override {
-    if (!fastpath::onOwner(Vp))
-      return fastpath::postRemote(Mailbox, Item, Vp, Reason);
-    // Read the id before publishing: once the item is visible in a queue
-    // another VP (dispatch or steal) may pop and recycle it concurrently.
-    const std::uint64_t TraceId = Item.schedThreadId();
-    Deque.pushBottom(Item); // LIFO via popBottom
-    STING_TRACE_EVENT(Enqueue, TraceId,
-                      obs::enqueuePayload(Deque.size(),
-                                          static_cast<std::uint8_t>(Reason)));
+    Q.enqueue(Item, Vp, Reason);
   }
 
   bool hasReadyWork(const VirtualProcessor &) const override {
-    return !Deque.empty() || !Mailbox.empty();
+    return Q.hasReadyWork();
   }
 
   void loadDepths(const VirtualProcessor &, std::uint64_t &ReadyDepth,
                   std::uint64_t &MailboxDepth) const override {
-    ReadyDepth = Deque.size();
-    MailboxDepth = Mailbox.size();
+    Q.loadDepths(ReadyDepth, MailboxDepth);
   }
 
-  void drain(VirtualProcessor &,
+  void drain(VirtualProcessor &Vp,
              const std::function<void(Schedulable &)> &Drop) override {
-    // Runs single-threaded after the PPs have joined.
-    Mailbox.drain(Drop);
-    while (Schedulable *Item = Deque.popBottom())
-      Drop(*Item);
+    Q.drainAll(Vp, Drop);
   }
 
 private:
-  VirtualMachine *Vm;
-  WorkStealingDeque Deque;
-  RemoteMailbox Mailbox;
+  fastpath::FastPathQueue Q;
 };
 
 } // namespace
 
 PolicyFactory makeLocalLifoPolicy() {
-  return [](VirtualMachine &Vm, unsigned) {
-    return std::make_unique<LocalLifoPolicy>(Vm);
+  return [](VirtualMachine &, unsigned) {
+    return std::make_unique<LocalLifoPolicy>();
   };
 }
 

@@ -5,42 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded MPSC mailbox, one per VP, carrying cross-VP enqueues —
-/// unparks, migrations, tuple-space wakeups, enqueues from off-machine
-/// threads and the preemption clock. Remote producers never touch the
-/// owner's Chase-Lev deque (which tolerates exactly one writer at the
-/// bottom); they post here and the owner drains at dispatch. Each ring is
-/// Vyukov's bounded MPMC queue specialized to a single consumer: a
-/// producer claims a cell with one CAS on Tail and publishes with one
-/// release store of the cell sequence; the owner consumes with plain
-/// loads plus one release store per cell.
+/// An MPSC mailbox, one per VP, carrying cross-VP enqueues — unparks,
+/// migrations, tuple-space wakeups, enqueues from off-machine threads and
+/// the preemption clock. Remote producers never touch the owner's
+/// Chase-Lev deque (which tolerates exactly one writer at the bottom);
+/// they post here and the owner drains at dispatch.
 ///
-/// When a ring is full — pathological fan-in to one VP — producers *chain
-/// a larger ring* onto it (CAS-installed; losers free their candidate)
-/// instead of serializing on a locked overflow list, so sustained overflow
-/// stays lock-free: every producer keeps paying one CAS per post, just in
-/// a later ring. The chain is bounded because each link doubles capacity
-/// up to MaxRingCapacity. Chaining trades global FIFO for lock-freedom:
-/// order holds within a ring (and across a burst drained whole), not
-/// across drains — see drain().
+/// The mailbox is one fixed ring plus a locked spill list, and allocates
+/// nothing after construction (the thread controller "allocates no
+/// storage", paper section 3.1). The ring is Vyukov's bounded MPMC queue
+/// specialized to a single consumer: a producer claims a cell with one
+/// CAS on Tail and publishes with one release store of the cell sequence;
+/// the owner consumes with plain loads plus one release store per cell.
+/// A post that finds the ring full — pathological fan-in to one VP, which
+/// no measured workload reaches — links the item onto an intrusive spill
+/// list under a spin lock. The hook is free: an item in a mailbox is on
+/// no other ready list until the owner has drained it.
 ///
-/// Chained rings do not pin memory forever: once the whole overflow chain
-/// has sat empty for several consecutive drains, the owner detaches it
-/// into a still-visible Retired slot, later unpublishes it, and frees it
-/// only once no reader can still hold a pointer into it (the ChainPins
-/// counter, bumped by slow-path producers *and* by cross-thread observers
-/// like empty()/size(), which are read by stealing processors and the
-/// watchdog). A pinned walker can therefore always finish — rings move
-/// from the live chain to Retired (where empty()/size()/drain() keep
-/// covering them) and are only deleted after the pinned population
-/// quiesces twice: once before the unpublish (so no straggler post lands
-/// in an invisible ring) and once after (so no observer that read the
-/// Retired pointer is still dereferencing it).
-///
-/// Emptiness is answered from the rings' Tail/Head cursors alone, so
-/// hasReadyWork stays accurate from any thread: Tail is advanced *before*
-/// the cell is published, hence a claimed-but-unpublished post already
-/// reports non-empty (the no-lost-wakeup direction; the drain may
+/// Emptiness is answered from the ring's Tail/Head cursors plus the spill
+/// count, so hasReadyWork stays accurate from any thread: Tail is advanced
+/// *before* the cell is published, hence a claimed-but-unpublished post
+/// already reports non-empty (the no-lost-wakeup direction; the drain may
 /// transiently see the unpublished cell and return short, but the VP's
 /// physical processor re-polls instead of sleeping).
 ///
@@ -50,360 +35,133 @@
 #define STING_CORE_POLICY_REMOTEMAILBOX_H
 
 #include "core/Schedulable.h"
+#include "support/SpinLock.h"
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <mutex>
 
 namespace sting {
 
-/// A lock-free MPSC queue of Schedulable pointers built from a chain of
-/// Vyukov rings. Any thread may post(); exactly one owner thread may
-/// drain().
+/// An MPSC queue of Schedulable pointers: a lock-free ring of Capacity
+/// cells backed by a locked spill list. Any thread may post(); exactly one
+/// owner thread may drain().
 class RemoteMailbox {
 public:
-  /// Chained rings stop doubling here; a full chain keeps extending at
-  /// this size, so capacity is unbounded either way.
-  static constexpr std::size_t MaxRingCapacity = 1 << 16;
+  static constexpr std::size_t Capacity = 1024;
 
-  explicit RemoteMailbox(std::size_t Capacity = 1024)
-      : Primary(new Ring(roundUpPow2(Capacity))) {}
+  RemoteMailbox() {
+    for (std::size_t I = 0; I != Capacity; ++I)
+      Cells[I].Seq.store(I, std::memory_order_relaxed);
+  }
 
   RemoteMailbox(const RemoteMailbox &) = delete;
   RemoteMailbox &operator=(const RemoteMailbox &) = delete;
 
-  ~RemoteMailbox() {
-    freeChain(Primary);
-    freeChain(Retired.load(std::memory_order_acquire));
-    freeChain(Doomed);
-  }
-
-  /// Posts \p Item from any thread; always lock-free. When the primary
-  /// ring is full the post lands in a chained (larger) ring, growing the
-  /// chain on first use. \returns true when the primary-ring fast path was
-  /// taken (the observability bit reported as "ring path").
+  /// Posts \p Item from any thread. \returns true when the lock-free ring
+  /// took it (the observability bit reported as "ring path"), false when
+  /// the ring was full and the item went to the spill list.
   bool post(Schedulable &Item) {
-    if (Primary->tryPost(Item))
-      return true;
-    // Slow path: about to walk (and possibly extend) the overflow chain.
-    // The ChainPins window pins every ring pointer this walk can read —
-    // the owner's shrink frees a detached chain only once ChainPins has
-    // been observed at zero *after* the detach, so the chain we are about
-    // to traverse cannot be deleted under us. seq_cst on the increment
-    // pairs with the seq_cst detach/re-check in maybeShrink (a Dekker
-    // store-load: either the owner sees our count, or we see its unlink).
-    ChainPins.fetch_add(1, std::memory_order_seq_cst);
-    Ring *R = Primary;
-    bool Fast = false;
+    STING_DCHECK(!Item.ListNode<ReadyQueueTag>::isLinked(),
+                 "posting an item still on a ready list");
+    std::uint64_t T = Tail.load(std::memory_order_relaxed);
     for (;;) {
-      if (R->tryPost(Item)) {
-        Fast = R == Primary;
-        break;
+      Cell &C = Cells[T & Mask];
+      std::uint64_t Seq = C.Seq.load(std::memory_order_acquire);
+      std::int64_t Dif =
+          static_cast<std::int64_t>(Seq) - static_cast<std::int64_t>(T);
+      if (Dif == 0) {
+        if (Tail.compare_exchange_weak(T, T + 1, std::memory_order_seq_cst,
+                                       std::memory_order_relaxed)) {
+          C.Item = &Item;
+          C.Seq.store(T + 1, std::memory_order_release);
+          return true;
+        }
+        // CAS failure reloaded T; retry with the fresh value.
+      } else if (Dif < 0) {
+        break; // full
+      } else {
+        T = Tail.load(std::memory_order_relaxed);
       }
-      // This ring is full; move to (or install) the next link. The CAS
-      // publishes the fully-constructed ring, and losers delete their
-      // candidate — only ever a ring no other thread has seen.
-      Ring *Next = R->Next.load(std::memory_order_seq_cst);
-      if (!Next) {
-        std::size_t Cap = R->Cells.size() * 2;
-        if (Cap > MaxRingCapacity)
-          Cap = MaxRingCapacity;
-        Ring *Candidate = new Ring(Cap);
-        if (R->Next.compare_exchange_strong(Next, Candidate,
-                                            std::memory_order_release,
-                                            std::memory_order_acquire))
-          Next = Candidate;
-        else
-          delete Candidate; // another producer won; use theirs
-      }
-      R = Next;
     }
-    // Release: the post's publish store must be visible to an owner that
-    // later observes the decremented count and frees the chain.
-    ChainPins.fetch_sub(1, std::memory_order_release);
-    return Fast;
+    std::lock_guard<SpinLock> Guard(SpillLock);
+    Spill.pushBack(Item);
+    // seq_cst: the store side of the no-lost-wakeup pair with empty().
+    Spilled.fetch_add(1, std::memory_order_seq_cst);
+    return false;
   }
 
-  /// Owner-only: drains every currently-published item, walking the
-  /// primary ring first and then each chained ring in install order.
-  /// Delivery is FIFO *within each ring*; a single overflow burst drained
-  /// by one call therefore comes out in post order, but order is NOT
-  /// preserved across drains once a chained ring holds residue — an item
-  /// stranded in a chained ring is delivered after later posts that
-  /// landed in the since-drained primary. Consumers (VP dispatch) treat
-  /// mailbox order as best-effort fairness, never as a correctness
-  /// invariant. \returns the number of items delivered.
+  /// Owner-only: drains every currently-published item, the ring first
+  /// and then the spill list. A single burst drained by one call comes out
+  /// in post order; across drains an item that spilled may be delivered
+  /// after later posts that found room in the ring. Consumers (VP
+  /// dispatch) treat mailbox order as best-effort fairness, never as a
+  /// correctness invariant. \returns the number of items delivered.
   template <typename Fn> std::size_t drain(Fn &&Consume) {
     std::size_t N = 0;
-    for (Ring *R = Primary; R; R = R->Next.load(std::memory_order_acquire))
-      N += R->drainRing(Consume);
-    for (Ring *R = Retired.load(std::memory_order_acquire); R;
-         R = R->Next.load(std::memory_order_acquire))
-      N += R->drainRing(Consume);
-    maybeShrink(Consume);
+    std::uint64_t H = Head.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell &C = Cells[H & Mask];
+      std::uint64_t Seq = C.Seq.load(std::memory_order_acquire);
+      if (Seq != H + 1)
+        break; // unpublished (or empty) — stop, do not spin on a poster
+      Schedulable *Item = C.Item;
+      C.Seq.store(H + Capacity, std::memory_order_release);
+      ++H;
+      Head.store(H, std::memory_order_release);
+      Consume(*Item);
+      ++N;
+    }
+    if (Spilled.load(std::memory_order_acquire) == 0)
+      return N;
+    IntrusiveList<Schedulable, ReadyQueueTag> Taken;
+    {
+      std::lock_guard<SpinLock> Guard(SpillLock);
+      Taken.splice(Spill);
+      N += Spilled.exchange(0, std::memory_order_seq_cst);
+    }
+    while (!Taken.empty())
+      Consume(Taken.popFront());
     return N;
   }
 
   /// True when no post is pending. Accurate from any thread: a producer
-  /// advances a ring's Tail before publishing, and a full ring (the only
-  /// reason to move down the chain) is by definition non-empty, so a
-  /// pending item is never reported empty. Covers the retired chain too —
-  /// the detach protocol publishes Retired *before* unlinking, and
-  /// residue in an unpublished (doomed) chain is delivered by the owner
-  /// in the same drain that unpublishes it, so a pending item is visible
-  /// through some pointer (or already being delivered) at every instant.
-  /// The walk runs under a ChainPins pin (see maybeShrink) so the owner
-  /// never frees a ring this thread is still dereferencing — except on
-  /// the pin-free fast path: with no chained and no retired ring, the
-  /// only ring to inspect is the never-freed primary, and this is the
-  /// hot case (hasReadyWork polls here from the dispatch loop). Read
-  /// order matters for the fast path: Next before Retired, so a
-  /// mid-detach chain (Retired published, Next not yet cleared) is seen
-  /// through one pointer or the other.
+  /// advances Tail before publishing, and bumps the spill count before a
+  /// spilling post returns, so a pending item is never reported empty.
   bool empty() const {
-    Ring *Next = Primary->Next.load(std::memory_order_seq_cst);
-    if (!Next && !Retired.load(std::memory_order_seq_cst))
-      return Primary->Head.load(std::memory_order_seq_cst) ==
-             Primary->Tail.load(std::memory_order_seq_cst);
-    PinnedWalk Pin(ChainPins);
-    for (Ring *R = Primary; R; R = R->Next.load(std::memory_order_seq_cst))
-      if (R->Head.load(std::memory_order_seq_cst) !=
-          R->Tail.load(std::memory_order_seq_cst))
-        return false;
-    for (Ring *R = Retired.load(std::memory_order_seq_cst); R;
-         R = R->Next.load(std::memory_order_seq_cst))
-      if (R->Head.load(std::memory_order_seq_cst) !=
-          R->Tail.load(std::memory_order_seq_cst))
-        return false;
-    return true;
+    return Head.load(std::memory_order_seq_cst) ==
+               Tail.load(std::memory_order_seq_cst) &&
+           Spilled.load(std::memory_order_seq_cst) == 0;
   }
 
   /// Approximate pending count (diagnostics).
   std::size_t size() const {
-    if (!Primary->Next.load(std::memory_order_seq_cst) &&
-        !Retired.load(std::memory_order_seq_cst))
-      return Primary->pending(); // fast path: only the never-freed ring
-    PinnedWalk Pin(ChainPins);
-    std::size_t N = 0;
-    for (Ring *R = Primary; R; R = R->Next.load(std::memory_order_seq_cst))
-      N += R->pending();
-    for (Ring *R = Retired.load(std::memory_order_seq_cst); R;
-         R = R->Next.load(std::memory_order_seq_cst))
-      N += R->pending();
-    return N;
-  }
-
-  /// Capacity of the primary ring (posts beyond it chain, they never
-  /// block).
-  std::size_t capacity() const { return Primary->Cells.size(); }
-
-  /// Number of rings still reachable (live chain + retired, 1 after a
-  /// completed shrink; an unpublished doomed chain awaiting its free is
-  /// owner-private and not counted).
-  std::size_t ringCount() const {
-    PinnedWalk Pin(ChainPins);
-    std::size_t N = 0;
-    for (Ring *R = Primary; R; R = R->Next.load(std::memory_order_seq_cst))
-      ++N;
-    for (Ring *R = Retired.load(std::memory_order_seq_cst); R;
-         R = R->Next.load(std::memory_order_seq_cst))
-      ++N;
-    return N;
-  }
-
-  /// Rings detached but still published via Retired (diagnostics/tests).
-  std::size_t retiredRingCount() const {
-    PinnedWalk Pin(ChainPins);
-    std::size_t N = 0;
-    for (Ring *R = Retired.load(std::memory_order_seq_cst); R;
-         R = R->Next.load(std::memory_order_seq_cst))
-      ++N;
-    return N;
+    std::uint64_t H = Head.load(std::memory_order_acquire);
+    std::uint64_t T = Tail.load(std::memory_order_acquire);
+    return static_cast<std::size_t>(T - H) +
+           Spilled.load(std::memory_order_acquire);
   }
 
 private:
+  static constexpr std::size_t Mask = Capacity - 1;
+  static_assert((Capacity & Mask) == 0, "ring capacity is a power of two");
+
   struct Cell {
     std::atomic<std::uint64_t> Seq;
     Schedulable *Item = nullptr;
   };
 
-  struct Ring {
-    explicit Ring(std::size_t Capacity) : Cells(Capacity), Mask(Capacity - 1) {
-      for (std::size_t I = 0; I != Cells.size(); ++I)
-        Cells[I].Seq.store(I, std::memory_order_relaxed);
-    }
-
-    /// One-CAS Vyukov post. \returns false when this ring is full.
-    bool tryPost(Schedulable &Item) {
-      std::uint64_t T = Tail.load(std::memory_order_relaxed);
-      for (;;) {
-        Cell &C = Cells[T & Mask];
-        std::uint64_t Seq = C.Seq.load(std::memory_order_acquire);
-        std::int64_t Dif =
-            static_cast<std::int64_t>(Seq) - static_cast<std::int64_t>(T);
-        if (Dif == 0) {
-          if (Tail.compare_exchange_weak(T, T + 1, std::memory_order_seq_cst,
-                                         std::memory_order_relaxed)) {
-            C.Item = &Item;
-            C.Seq.store(T + 1, std::memory_order_release);
-            return true;
-          }
-          // CAS failure reloaded T; retry with the fresh value.
-        } else if (Dif < 0) {
-          return false; // full
-        } else {
-          T = Tail.load(std::memory_order_relaxed);
-        }
-      }
-    }
-
-    /// Owner-only drain of this ring's published items.
-    template <typename Fn> std::size_t drainRing(Fn &&Consume) {
-      std::size_t N = 0;
-      std::uint64_t H = Head.load(std::memory_order_relaxed);
-      for (;;) {
-        Cell &C = Cells[H & Mask];
-        std::uint64_t Seq = C.Seq.load(std::memory_order_acquire);
-        if (Seq != H + 1)
-          break; // unpublished (or empty) — stop, do not spin on a poster
-        Schedulable *Item = C.Item;
-        C.Seq.store(H + Cells.size(), std::memory_order_release);
-        ++H;
-        Head.store(H, std::memory_order_release);
-        Consume(*Item);
-        ++N;
-      }
-      return N;
-    }
-
-    /// Approximate occupancy (diagnostics).
-    std::size_t pending() const {
-      std::uint64_t H = Head.load(std::memory_order_acquire);
-      std::uint64_t T = Tail.load(std::memory_order_acquire);
-      return static_cast<std::size_t>(T - H);
-    }
-
-    std::vector<Cell> Cells;
-    std::size_t Mask;
-    // Producers contend on Tail; the owner walks Head. Separate lines so a
-    // posting storm does not bounce the consumer's cursor.
-    alignas(64) std::atomic<std::uint64_t> Tail{0};
-    alignas(64) std::atomic<std::uint64_t> Head{0};
-    alignas(64) std::atomic<Ring *> Next{nullptr};
-  };
-
-  static std::size_t roundUpPow2(std::size_t N) {
-    std::size_t P = 8;
-    while (P < N)
-      P <<= 1;
-    return P;
-  }
-
-  static void freeChain(Ring *R) {
-    while (R) {
-      Ring *Next = R->Next.load(std::memory_order_acquire);
-      delete R;
-      R = Next;
-    }
-  }
-
-  /// Owner-only, called at the end of every drain. Three independent
-  /// phases of the shrink protocol, one per drain:
-  ///
-  /// Phase 3 — free the unpublished (doomed) chain once it is provably
-  /// untouchable: the phase-2 seq_cst unpublish of Retired and a
-  /// reader's seq_cst ChainPins increment form a Dekker store-load pair,
-  /// so a ChainPins of zero read *after* the unpublish means every
-  /// reader that could have loaded a doomed ring pointer — through
-  /// Retired or through a pre-unlink Primary->Next — has finished its
-  /// walk, and every later reader sees nullptr through both pointers.
-  ///
-  /// Phase 2 — unpublish a previously detached chain: a ChainPins of
-  /// zero read after the detach's unlink means no straggler producer is
-  /// mid-walk, so every post that could land in a detached ring is
-  /// published — deliver that residue here, in the same drain, so
-  /// clearing Retired never hides a pending item (the no-lost-wakeup
-  /// direction of hasReadyWork). The chain then parks owner-privately in
-  /// Doomed until phase 3; it can never gain another item.
-  ///
-  /// Phase 1 — detach the overflow chain after it has sat empty for
-  /// QuiescentDrains consecutive drains (hysteresis so a steady overflow
-  /// load does not thrash allocate/free). Publish order is the safety
-  /// hinge: Retired is stored *before* Primary->Next is cleared, so at
-  /// every instant the chain is visible through at least one of the two
-  /// pointers — empty()/size()/drain() never transiently lose a posted
-  /// item.
-  template <typename Fn> void maybeShrink(Fn &&Consume) {
-    if (Doomed) {
-      if (ChainPins.load(std::memory_order_seq_cst) != 0)
-        return; // a reader admitted before the unpublish may still walk it
-      freeChain(Doomed);
-      Doomed = nullptr;
-      return; // one phase per drain keeps the tail of drain() cheap
-    }
-    if (Ring *Detached = Retired.load(std::memory_order_relaxed)) {
-      if (ChainPins.load(std::memory_order_seq_cst) != 0)
-        return; // a straggler may still be posting into a detached ring
-      // Unpublish before delivering residue: readers from here on see
-      // nullptr (Dekker with their pin), and the items a straggler
-      // landed in the Retired window go out through this very drain.
-      Retired.store(nullptr, std::memory_order_seq_cst);
-      for (Ring *R = Detached; R; R = R->Next.load(std::memory_order_acquire))
-        R->drainRing(Consume);
-      Doomed = Detached;
-      return;
-    }
-    Ring *Chain = Primary->Next.load(std::memory_order_acquire);
-    if (!Chain) {
-      EmptyChainDrains = 0;
-      return;
-    }
-    for (Ring *R = Chain; R; R = R->Next.load(std::memory_order_acquire))
-      if (R->Head.load(std::memory_order_seq_cst) !=
-          R->Tail.load(std::memory_order_seq_cst)) {
-        EmptyChainDrains = 0;
-        return;
-      }
-    if (++EmptyChainDrains < QuiescentDrains)
-      return;
-    EmptyChainDrains = 0;
-    // Detach: publish to Retired first, then unlink (seq_cst — the
-    // Dekker partner of the readers' ChainPins increment).
-    Retired.store(Chain, std::memory_order_release);
-    Primary->Next.store(nullptr, std::memory_order_seq_cst);
-  }
-
-  /// RAII pin for any cross-thread walk of the overflow/retired chains.
-  /// seq_cst on the increment is the Dekker partner of maybeShrink's
-  /// unlink/unpublish stores: either the owner sees the pin and defers
-  /// the free, or the pinned walk sees the cleared pointer.
-  struct PinnedWalk {
-    explicit PinnedWalk(std::atomic<std::size_t> &Pins) : Pins(Pins) {
-      Pins.fetch_add(1, std::memory_order_seq_cst);
-    }
-    ~PinnedWalk() { Pins.fetch_sub(1, std::memory_order_release); }
-    PinnedWalk(const PinnedWalk &) = delete;
-    PinnedWalk &operator=(const PinnedWalk &) = delete;
-    std::atomic<std::size_t> &Pins;
-  };
-
-  Ring *const Primary;
-  /// Detached-but-still-published overflow chain (phase 2 input).
-  std::atomic<Ring *> Retired{nullptr};
-  /// Unpublished chain awaiting its final quiescent window (phase 3
-  /// input). Owner-only; never read by other threads.
-  Ring *Doomed = nullptr;
-  /// Readers mid-walk on the overflow/retired chains: slow-path
-  /// producers plus cross-thread observers (empty/size/ringCount).
-  /// seq_cst Dekker partner of the detach unlink and the phase-2
-  /// unpublish. Own line: bumped off the post fast path, and sharing it
-  /// with Primary would dirty the fast path's line. Mutable so const
-  /// observers can pin.
-  alignas(64) mutable std::atomic<std::size_t> ChainPins{0};
-  /// Consecutive drains that found the whole overflow chain empty.
-  unsigned EmptyChainDrains = 0;
-  static constexpr unsigned QuiescentDrains = 8;
+  Cell Cells[Capacity];
+  // Producers contend on Tail; the owner walks Head. Separate lines so a
+  // posting storm does not bounce the consumer's cursor.
+  alignas(64) std::atomic<std::uint64_t> Tail{0};
+  alignas(64) std::atomic<std::uint64_t> Head{0};
+  /// The spill path: written only when the ring is full, so the count
+  /// that empty() polls stays a clean shared line.
+  alignas(64) std::atomic<std::size_t> Spilled{0};
+  SpinLock SpillLock;
+  IntrusiveList<Schedulable, ReadyQueueTag> Spill;
 };
 
 } // namespace sting

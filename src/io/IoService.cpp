@@ -114,8 +114,15 @@ WaitResult IoService::awaitUntil(int Fd, IoEvent Event, Deadline D) {
     std::atomic<std::size_t> &Counter;
     ~AwaitScope() { Counter.fetch_sub(1, std::memory_order_acq_rel); }
   } Scope{ActiveAwaits};
-  if (Stopping.load(std::memory_order_acquire))
+  // A Timeout sets errno here, inside the counted frame: once Scope has
+  // decremented ActiveAwaits the destructor may free this service, so a
+  // caller must read the reason from errno, never from stopping().
+  auto TimedOut = [this] {
+    errno = Stopping.load(std::memory_order_acquire) ? ECANCELED : ETIMEDOUT;
     return WaitResult::Timeout;
+  };
+  if (Stopping.load(std::memory_order_acquire))
+    return TimedOut();
   IoWaitState State;
   {
     std::lock_guard<SpinLock> Guard(Lock);
@@ -163,7 +170,7 @@ WaitResult IoService::awaitUntil(int Fd, IoEvent Event, Deadline D) {
     while (!State.Ready.load(std::memory_order_acquire)) {
       if (D.expired() || Stopping.load(std::memory_order_acquire)) {
         if (Retract())
-          return WaitResult::Timeout;
+          return TimedOut();
         DrainInFlightWake(); // the wake won the race
         return WaitResult::Ready;
       }
@@ -269,11 +276,11 @@ ssize_t IoService::read(int Fd, void *Buf, std::size_t N) {
       return Rc;
     if (errno != EAGAIN && errno != EWOULDBLOCK)
       return -1;
-    await(Fd, IoEvent::Readable);
-    if (Stopping.load(std::memory_order_acquire)) {
-      errno = ECANCELED;
+    // On Timeout awaitUntil has set errno; this frame must not touch
+    // the service again, which a destructor may already have freed.
+    if (awaitUntil(Fd, IoEvent::Readable, Deadline::never()) ==
+        WaitResult::Timeout)
       return -1;
-    }
   }
 }
 
@@ -284,11 +291,11 @@ ssize_t IoService::write(int Fd, const void *Buf, std::size_t N) {
       return Rc;
     if (errno != EAGAIN && errno != EWOULDBLOCK)
       return -1;
-    await(Fd, IoEvent::Writable);
-    if (Stopping.load(std::memory_order_acquire)) {
-      errno = ECANCELED;
+    // On Timeout awaitUntil has set errno; this frame must not touch
+    // the service again, which a destructor may already have freed.
+    if (awaitUntil(Fd, IoEvent::Writable, Deadline::never()) ==
+        WaitResult::Timeout)
       return -1;
-    }
   }
 }
 

@@ -71,7 +71,9 @@ public:
   /// Timed await: \returns Timeout if \p D expired before readiness. A
   /// readiness notification racing the deadline wins. Also returns Timeout
   /// (after retracting the waiter record) when the service is shutting
-  /// down, so waiters drain out of a dying poller instead of hanging.
+  /// down, so waiters drain out of a dying poller instead of hanging. A
+  /// Timeout sets errno to ECANCELED (shutting down) or ETIMEDOUT; read it
+  /// there, not from stopping(), since the service may be gone by then.
   WaitResult awaitUntil(int Fd, IoEvent Event, Deadline D);
 
   /// Reads up to \p N bytes, parking the thread (not the VP) while the

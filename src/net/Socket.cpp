@@ -77,10 +77,8 @@ ssize_t Socket::readUntil(void *Buf, std::size_t N, Deadline D) {
     if (errno != EAGAIN && errno != EWOULDBLOCK)
       return -1;
     WaitResult W = Io->awaitUntil(Fd, IoEvent::Readable, D);
-    if (W == WaitResult::Timeout) {
-      errno = Io->stopping() ? ECANCELED : ETIMEDOUT;
-      return -1;
-    }
+    if (W == WaitResult::Timeout)
+      return -1; // errno is awaitUntil's ECANCELED or ETIMEDOUT
   }
 }
 
@@ -107,10 +105,8 @@ ssize_t Socket::writeUntil(const void *Buf, std::size_t N, Deadline D) {
     if (errno != EAGAIN && errno != EWOULDBLOCK)
       return -1;
     WaitResult W = Io->awaitUntil(Fd, IoEvent::Writable, D);
-    if (W == WaitResult::Timeout) {
-      errno = Io->stopping() ? ECANCELED : ETIMEDOUT;
-      return -1;
-    }
+    if (W == WaitResult::Timeout)
+      return -1; // errno is awaitUntil's ECANCELED or ETIMEDOUT
   }
 }
 
@@ -154,8 +150,9 @@ Socket Socket::connectUntil(IoService &Io, const char *Host,
     // success/failure is then read back through SO_ERROR.
     WaitResult W = Io.awaitUntil(Fd, IoEvent::Writable, D);
     if (W == WaitResult::Timeout) {
+      int Saved = errno; // awaitUntil's ECANCELED or ETIMEDOUT
       ::close(Fd);
-      errno = Io.stopping() ? ECANCELED : ETIMEDOUT;
+      errno = Saved;
       return Socket();
     }
     int Err = 0;
@@ -240,10 +237,8 @@ Socket Listener::acceptUntil(Deadline D) {
     if (errno != EAGAIN && errno != EWOULDBLOCK)
       return Socket();
     WaitResult W = Io->awaitUntil(Fd, IoEvent::Readable, D);
-    if (W == WaitResult::Timeout) {
-      errno = Io->stopping() ? ECANCELED : ETIMEDOUT;
-      return Socket();
-    }
+    if (W == WaitResult::Timeout)
+      return Socket(); // errno is awaitUntil's ECANCELED or ETIMEDOUT
   }
 }
 

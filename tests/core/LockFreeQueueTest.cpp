@@ -4,11 +4,14 @@
 //
 // The lock-free scheduling fast path (DESIGN.md section 8) in isolation:
 // the Chase-Lev deque (owner ops vs. concurrent thieves, growth under
-// race, the last-element CAS), the MPSC remote mailbox (order, overflow,
-// multi-producer conservation), and the end-to-end no-lost-wakeup
-// property of remote enqueues against parked VPs. The concurrency tests
-// are conservation arguments — every item consumed exactly once — and are
-// meant to run under TSan and ASan in CI.
+// race, the last-element CAS), the MPSC remote mailbox (order, spill,
+// multi-producer conservation, no allocation on post), and the end-to-end
+// no-lost-wakeup property of remote enqueues against parked VPs. The
+// concurrency tests are conservation arguments — every item consumed
+// exactly once — and are meant to run under TSan and ASan in CI.
+//
+// This file replaces the global operator new with one that counts the
+// calls made on a thread that has opted in (allocsDuring below).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +24,100 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
 namespace {
 
+/// Set on the one thread whose allocations are counted.
+thread_local bool CountAllocs = false;
+std::atomic<std::uint64_t> Allocs{0};
+
+void *countedAlloc(std::size_t N, std::size_t Align) {
+  if (CountAllocs)
+    Allocs.fetch_add(1, std::memory_order_relaxed);
+  if (N == 0)
+    N = 1;
+  if (Align <= alignof(std::max_align_t))
+    return std::malloc(N);
+  return std::aligned_alloc(Align, (N + Align - 1) / Align * Align);
+}
+
+void *countedAllocOrThrow(std::size_t N, std::size_t Align) {
+  if (void *P = countedAlloc(N, Align))
+    return P;
+  throw std::bad_alloc();
+}
+
+} // namespace
+
+// Every replaceable form, so each allocation and its release go through
+// one malloc/free pair whatever the sanitizer runtime defines.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void *operator new(std::size_t N) { return countedAllocOrThrow(N, 0); }
+void *operator new[](std::size_t N) { return countedAllocOrThrow(N, 0); }
+void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
+  return countedAlloc(N, 0);
+}
+void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
+  return countedAlloc(N, 0);
+}
+void *operator new(std::size_t N, std::align_val_t A) {
+  return countedAllocOrThrow(N, static_cast<std::size_t>(A));
+}
+void *operator new[](std::size_t N, std::align_val_t A) {
+  return countedAllocOrThrow(N, static_cast<std::size_t>(A));
+}
+void *operator new(std::size_t N, std::align_val_t A,
+                   const std::nothrow_t &) noexcept {
+  return countedAlloc(N, static_cast<std::size_t>(A));
+}
+void *operator new[](std::size_t N, std::align_val_t A,
+                     const std::nothrow_t &) noexcept {
+  return countedAlloc(N, static_cast<std::size_t>(A));
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete(void *P, std::align_val_t,
+                     const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, std::align_val_t,
+                       const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+
+namespace {
+
 using namespace sting;
+
+/// \returns the operator new calls \p F makes on the calling thread.
+template <typename Fn> std::uint64_t allocsDuring(Fn &&F) {
+  const std::uint64_t Before = Allocs.load(std::memory_order_relaxed);
+  CountAllocs = true;
+  F();
+  CountAllocs = false;
+  return Allocs.load(std::memory_order_relaxed) - Before;
+}
 
 /// Minimal concrete Schedulable for queue tests (never dispatched, so the
 /// Thread/Tcb downcasts are never exercised).
@@ -224,8 +314,19 @@ TEST(DequeTest, LastElementGoesToExactlyOneConsumer) {
 // Remote mailbox
 //===----------------------------------------------------------------------===//
 
+/// Posts enough items to leave the fixed ring full, so the next post
+/// spills. \returns the items, which must outlive the mailbox's use.
+std::vector<std::unique_ptr<Item>> fillRing(RemoteMailbox &M, int Base) {
+  auto Filler = makeItems(static_cast<int>(RemoteMailbox::Capacity));
+  for (auto &I : Filler) {
+    I->Value += Base;
+    EXPECT_TRUE(M.post(*I));
+  }
+  return Filler;
+}
+
 TEST(MailboxTest, DrainDeliversInPostOrder) {
-  RemoteMailbox M(64);
+  RemoteMailbox M;
   auto Items = makeItems(10);
   for (auto &I : Items)
     EXPECT_TRUE(M.post(*I)); // all fit: ring path
@@ -241,81 +342,61 @@ TEST(MailboxTest, DrainDeliversInPostOrder) {
 }
 
 TEST(MailboxTest, OverflowSpillsAndDrainsEverything) {
-  RemoteMailbox M(8); // rounds to capacity 8
-  auto Items = makeItems(20);
+  constexpr int Cap = static_cast<int>(RemoteMailbox::Capacity);
+  constexpr int Total = Cap + 20;
+  RemoteMailbox M;
+  auto Items = makeItems(Total);
   int RingPosts = 0;
   for (auto &I : Items)
     RingPosts += M.post(*I) ? 1 : 0;
-  EXPECT_EQ(RingPosts, 8);       // ring filled first
-  EXPECT_EQ(M.size(), 20u);      // overflow counted
+  EXPECT_EQ(RingPosts, Cap); // ring filled first
+  EXPECT_EQ(M.size(), static_cast<std::size_t>(Total)); // spill counted
   EXPECT_FALSE(M.empty());
+  // One drain returns the whole burst in post order: the ring's items
+  // first, then the spilled tail in its own order.
   std::vector<int> Got;
   std::size_t N = M.drain(
       [&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
-  EXPECT_EQ(N, 20u);
-  // Ring items (0..7) come first and in order; the spilled tail keeps its
-  // own order too.
-  ASSERT_EQ(Got.size(), 20u);
-  for (int I = 0; I != 20; ++I)
+  EXPECT_EQ(N, static_cast<std::size_t>(Total));
+  ASSERT_EQ(Got.size(), static_cast<std::size_t>(Total));
+  for (int I = 0; I != Total; ++I)
     EXPECT_EQ(Got[static_cast<std::size_t>(I)], I);
   EXPECT_TRUE(M.empty());
+  EXPECT_EQ(M.size(), 0u);
 }
 
-TEST(MailboxTest, OverflowChainsASecondRing) {
-  RemoteMailbox M(8);
-  EXPECT_EQ(M.ringCount(), 1u);
-  auto Items = makeItems(64);
-  for (auto &I : Items)
-    M.post(*I);
-  // The spill CAS-installed chained rings rather than taking a lock.
-  EXPECT_GE(M.ringCount(), 2u);
-  EXPECT_EQ(M.size(), 64u);
-
-  // A single burst drained by one call survives the ring boundary in
-  // post order: primary drains first, then each chained ring in install
-  // order. (This is the strongest order the mailbox promises — across
-  // *separate* drains, chained-ring residue can be delivered after later
-  // posts to the refilled primary; see RemoteMailbox::drain.)
-  std::vector<int> Got;
-  std::size_t N = M.drain(
-      [&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
-  EXPECT_EQ(N, 64u);
-  ASSERT_EQ(Got.size(), 64u);
-  for (int I = 0; I != 64; ++I)
-    EXPECT_EQ(Got[static_cast<std::size_t>(I)], I);
-  EXPECT_TRUE(M.empty());
-
-  // The chain persists after the drain; a second burst reuses it.
-  for (auto &I : Items)
-    M.post(*I);
-  EXPECT_EQ(M.size(), 64u);
-  Got.clear();
-  M.drain([&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
-  EXPECT_EQ(Got.size(), 64u);
-  EXPECT_TRUE(M.empty());
-}
-
-// Hammer the chain-install CAS: many producers racing into a tiny primary
-// ring force concurrent overflow while a consumer drains. Nothing may be
-// lost or duplicated, and the overflow must have chained at least one ring.
+// Many producers spill into a full ring while a consumer drains. Each
+// producer's first post lands before the consumer starts, so every one of
+// them takes the spill lock at least once. Nothing may be lost or
+// duplicated.
 TEST(MailboxTest, ChainedOverflowStressConservesItems) {
   constexpr int Producers = 4;
   constexpr int PerProducer = 8000;
-  RemoteMailbox M(8);
+  RemoteMailbox M;
+  auto Filler = fillRing(M, Producers * PerProducer);
   auto Items = makeItems(Producers * PerProducer);
 
   std::vector<std::thread> Threads;
-  std::atomic<bool> Overflowed{false};
+  std::atomic<int> Spills{0};
+  std::atomic<int> FirstPosted{0};
   for (int P = 0; P != Producers; ++P)
     Threads.emplace_back([&, P] {
-      for (int I = 0; I != PerProducer; ++I)
+      for (int I = 0; I != PerProducer; ++I) {
         if (!M.post(*Items[static_cast<std::size_t>(P * PerProducer + I)]))
-          Overflowed.store(true, std::memory_order_relaxed);
+          Spills.fetch_add(1, std::memory_order_relaxed);
+        if (I == 0)
+          FirstPosted.fetch_add(1, std::memory_order_release);
+      }
     });
+  while (FirstPosted.load(std::memory_order_acquire) != Producers)
+    std::this_thread::yield();
+  EXPECT_GE(Spills.load(), Producers)
+      << "a first post found room in a full ring";
 
+  const std::size_t Total = Items.size() + Filler.size();
   std::vector<int> Got;
-  Got.reserve(Items.size());
-  while (Got.size() != Items.size()) {
+  Got.reserve(Total);
+  while (Got.size() != Total) {
     M.drain(
         [&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
     std::this_thread::yield();
@@ -323,9 +404,6 @@ TEST(MailboxTest, ChainedOverflowStressConservesItems) {
   for (auto &T : Threads)
     T.join();
   EXPECT_TRUE(M.empty());
-  // The chain path must have run (post() returning false), but the chain
-  // itself may already have been shrunk away by the quiescent detach.
-  EXPECT_TRUE(Overflowed.load()) << "burst never overflowed the primary ring";
 
   std::sort(Got.begin(), Got.end());
   for (std::size_t I = 0; I != Got.size(); ++I)
@@ -343,12 +421,13 @@ TEST(MailboxTest, EmptinessVisibleFromOtherThreads) {
   EXPECT_TRUE(M.empty());
 }
 
-// Multi-producer conservation through a deliberately tiny ring, so the
-// overflow path runs concurrently with ring posts and drains.
+// Multi-producer conservation starting from a full ring, so the spill
+// path runs concurrently with ring posts and drains.
 TEST(MailboxTest, MpscStressConservesItems) {
   constexpr int Producers = 3;
   constexpr int PerProducer = 5000;
-  RemoteMailbox M(16);
+  RemoteMailbox M;
+  auto Filler = fillRing(M, Producers * PerProducer);
   auto Items = makeItems(Producers * PerProducer);
 
   std::vector<std::thread> Threads;
@@ -358,9 +437,10 @@ TEST(MailboxTest, MpscStressConservesItems) {
         M.post(*Items[static_cast<std::size_t>(P * PerProducer + I)]);
     });
 
+  const std::size_t Total = Items.size() + Filler.size();
   std::vector<int> Got;
-  Got.reserve(Items.size());
-  while (Got.size() != Items.size()) {
+  Got.reserve(Total);
+  while (Got.size() != Total) {
     M.drain(
         [&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
     std::this_thread::yield();
@@ -374,142 +454,119 @@ TEST(MailboxTest, MpscStressConservesItems) {
     ASSERT_EQ(Got[I], static_cast<int>(I)) << "duplicated or lost";
 }
 
-//===----------------------------------------------------------------------===//
-// RemoteMailbox quiescent shrink
-//===----------------------------------------------------------------------===//
-
-TEST(MailboxTest, QuiescentChainShrinksAndConservesAcrossRegrowth) {
-  RemoteMailbox M(8);
-  auto Items = makeItems(64);
-  for (auto &I : Items)
-    M.post(*I);
-  EXPECT_GE(M.ringCount(), 2u);
-
-  std::vector<int> Got;
-  M.drain([&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
-  ASSERT_EQ(Got.size(), 64u);
-
-  // Hysteresis: the chain survives the first empty drains, so a steady
-  // overflow load does not thrash allocate/free.
-  for (int I = 0; I != 3; ++I) {
-    M.drain([](Schedulable &) {});
-    EXPECT_GE(M.ringCount(), 2u) << "shrank before the quiescent threshold";
-  }
-
-  // Enough further empty drains detach the chain and then free it once
-  // the slow-path population is provably quiescent.
-  for (int I = 0; I != 16 && M.ringCount() != 1; ++I)
-    M.drain([](Schedulable &) {});
-  EXPECT_EQ(M.ringCount(), 1u);
-  EXPECT_EQ(M.retiredRingCount(), 0u);
-  EXPECT_TRUE(M.empty());
-
-  // A second burst regrows the chain and loses nothing.
-  for (auto &I : Items)
-    M.post(*I);
-  EXPECT_GE(M.ringCount(), 2u);
-  EXPECT_EQ(M.size(), 64u);
-  Got.clear();
-  M.drain([&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
-  ASSERT_EQ(Got.size(), 64u);
-  for (int I = 0; I != 64; ++I)
-    EXPECT_EQ(Got[static_cast<std::size_t>(I)], I);
-}
-
-// Cross-thread observers (hasReadyWork's empty(), diagnostics' size()/
-// ringCount()/retiredRingCount()) walk the overflow and retired chains
-// while the owner cycles the full shrink protocol underneath them —
-// regrow, detach, unpublish, free, hundreds of times. The ChainPins
-// protocol must keep every ring an observer can reach alive until its
-// walk finishes: under ASan/TSan this is the use-after-free regression
-// for freeing retired rings while a reader still held a pointer.
-TEST(MailboxTest, ObserversRaceShrinkWithoutTouchingFreedRings) {
-  constexpr int Bursts = 300;
-  RemoteMailbox M(8);
-  auto Items = makeItems(64);
-
-  std::atomic<bool> Stop{false};
-  std::atomic<int> Running{0};
-  std::atomic<std::size_t> Observed{0};
-  std::vector<std::thread> Observers;
-  for (int T = 0; T != 3; ++T)
-    Observers.emplace_back([&] {
-      Running.fetch_add(1, std::memory_order_relaxed);
-      std::size_t Sink = 0;
-      while (!Stop.load(std::memory_order_relaxed)) {
-        Sink += M.empty() ? 1 : 0;
-        Sink += M.size();
-        Sink += M.ringCount();
-        Sink += M.retiredRingCount();
-        // Unpinned gap: with observers walking back-to-back, ChainPins
-        // never samples zero and the owner's free phases would never
-        // run — the race under test needs frees to actually happen.
-        std::this_thread::yield();
-      }
-      // Publish the walks' results so they cannot be optimized out.
-      Observed.fetch_add(Sink, std::memory_order_relaxed);
-    });
-  // Don't start churning until every observer is actually walking, or a
-  // fast main loop finishes before the race it means to provoke begins.
-  while (Running.load(std::memory_order_relaxed) != 3)
-    std::this_thread::yield();
-
-  std::size_t Delivered = 0;
-  for (int B = 0; B != Bursts; ++B) {
+// The thread controller allocates no storage (paper section 3.1), and
+// the mailbox is on its enqueue path: four full rings' worth of posts
+// with no drain in between make no heap allocation on the posting
+// thread, spill included.
+TEST(MailboxTest, PostNeverAllocates) {
+  constexpr int Posts = 4096;
+  RemoteMailbox M;
+  auto Items = makeItems(Posts);
+  int RingPosts = 0;
+  const std::uint64_t N = allocsDuring([&] {
     for (auto &I : Items)
-      M.post(*I); // regrow the overflow chain
-    // Enough empty drains to walk the whole protocol: hysteresis
-    // (QuiescentDrains), detach, unpublish, then the quiescent free.
-    for (int D = 0; D != 16; ++D)
-      Delivered += M.drain([](Schedulable &) {});
-  }
-  Stop.store(true, std::memory_order_relaxed);
-  for (auto &T : Observers)
-    T.join();
-  EXPECT_EQ(Delivered, static_cast<std::size_t>(Bursts) * 64u);
+      RingPosts += M.post(*I) ? 1 : 0;
+  });
+  EXPECT_EQ(N, 0u) << "a post allocated";
+  EXPECT_EQ(RingPosts, static_cast<int>(RemoteMailbox::Capacity));
+  EXPECT_EQ(M.size(), static_cast<std::size_t>(Posts));
+  EXPECT_EQ(M.drain([](Schedulable &) {}), static_cast<std::size_t>(Posts));
   EXPECT_TRUE(M.empty());
 }
 
-// Producers with deliberate traffic gaps force shrink cycles to interleave
-// with live posting: detaches race straggler slow-path walks, freed chains
-// regrow, and at the end everything must still be conserved — every item
-// delivered exactly once, the mailbox back to a single ring.
-TEST(MailboxTest, ShrinkUnderConcurrentProducersConservesItems) {
-  constexpr int Producers = 3;
-  constexpr int PerProducer = 4000;
-  RemoteMailbox M(8);
-  auto Items = makeItems(Producers * PerProducer);
+// Cross-thread observers (hasReadyWork's empty(), the sampler's size())
+// poll while four producers spill into a full ring and the owner drains.
+// Every item arrives exactly once, and a spilled item never reads as
+// empty before the drain that takes it: the ring can be empty while the
+// spill list is not, and empty() must still say no.
+TEST(MailboxTest, ObserversSeeSpilledItems) {
+  {
+    RemoteMailbox M;
+    auto Filler = fillRing(M, 0);
+    Item Spilled(-1);
+    ASSERT_FALSE(M.post(Spilled));
+    bool EmptyBehindRing = true;
+    M.drain([&](Schedulable &S) {
+      if (&S == Filler.back().get()) // ring drained, spill not yet taken
+        EmptyBehindRing = M.empty();
+    });
+    EXPECT_FALSE(EmptyBehindRing) << "a spilled item read as empty";
+  }
 
+  constexpr int Producers = 4;
+  constexpr int PerProducer = 3000;
+  constexpr std::uint64_t NotEmpty = ~std::uint64_t(0);
+  RemoteMailbox M;
+  auto Filler = fillRing(M, Producers * PerProducer);
+  auto Items = makeItems(Producers * PerProducer);
+  const std::size_t Total = Items.size() + Filler.size();
+
+  // Drains are numbered from 1. A producer whose empty() reads true right
+  // after a spilling post notes how many drains had begun by then; the
+  // drain that delivered the item must be one of them.
+  std::atomic<std::uint64_t> DrainsBegun{0};
+  std::vector<std::uint64_t> EmptyAfterDrains(Items.size(), NotEmpty);
+  std::vector<std::uint64_t> DeliveredIn(Total, 0);
+  std::atomic<int> Spills{0};
+  std::atomic<int> FirstPosted{0};
   std::vector<std::thread> Threads;
   for (int P = 0; P != Producers; ++P)
     Threads.emplace_back([&, P] {
       for (int I = 0; I != PerProducer; ++I) {
-        M.post(*Items[static_cast<std::size_t>(P * PerProducer + I)]);
-        if (I % 512 == 511) // gaps: give the owner quiescent streaks
-          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        const auto Idx = static_cast<std::size_t>(P * PerProducer + I);
+        if (!M.post(*Items[Idx])) {
+          Spills.fetch_add(1, std::memory_order_relaxed);
+          if (M.empty())
+            EmptyAfterDrains[Idx] = DrainsBegun.load();
+        }
+        if (I == 0)
+          FirstPosted.fetch_add(1, std::memory_order_release);
       }
     });
 
-  std::vector<int> Got;
-  Got.reserve(Items.size());
-  while (Got.size() != Items.size()) {
-    M.drain(
-        [&](Schedulable &S) { Got.push_back(static_cast<Item &>(S).Value); });
+  std::atomic<bool> Stop{false};
+  std::atomic<int> Oversized{0};
+  std::vector<std::thread> Observers;
+  for (int T = 0; T != 3; ++T)
+    Observers.emplace_back([&] {
+      while (!Stop.load(std::memory_order_relaxed)) {
+        (void)M.empty();
+        if (M.size() > Total)
+          Oversized.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+  while (FirstPosted.load(std::memory_order_acquire) != Producers)
+    std::this_thread::yield();
+  std::size_t Delivered = 0;
+  while (Delivered != Total) {
+    const std::uint64_t D = DrainsBegun.fetch_add(1) + 1;
+    Delivered += M.drain([&](Schedulable &S) {
+      std::uint64_t &In =
+          DeliveredIn[static_cast<std::size_t>(static_cast<Item &>(S).Value)];
+      EXPECT_EQ(In, 0u) << "item delivered twice";
+      In = D;
+    });
     std::this_thread::yield();
   }
   for (auto &T : Threads)
     T.join();
+  Stop.store(true, std::memory_order_relaxed);
+  for (auto &T : Observers)
+    T.join();
 
-  // Fully quiesced now: the drain loop must converge back to one ring.
-  for (int I = 0; I != 32 && M.ringCount() != 1; ++I)
-    M.drain([](Schedulable &) {});
-  EXPECT_EQ(M.ringCount(), 1u);
-  EXPECT_EQ(M.retiredRingCount(), 0u);
+  EXPECT_GE(Spills.load(), Producers);
+  EXPECT_EQ(Oversized.load(), 0) << "size() counted more than was posted";
   EXPECT_TRUE(M.empty());
-
-  std::sort(Got.begin(), Got.end());
-  for (std::size_t I = 0; I != Got.size(); ++I)
-    ASSERT_EQ(Got[I], static_cast<int>(I)) << "duplicated or lost across shrink";
+  EXPECT_EQ(M.size(), 0u);
+  for (std::size_t I = 0; I != Total; ++I)
+    ASSERT_NE(DeliveredIn[I], 0u) << "item " << I << " lost";
+  for (std::size_t I = 0; I != Items.size(); ++I) {
+    if (EmptyAfterDrains[I] != NotEmpty) {
+      EXPECT_LE(DeliveredIn[I], EmptyAfterDrains[I])
+          << "item " << I << " read as empty before its drain began";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
