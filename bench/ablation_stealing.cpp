@@ -83,7 +83,6 @@ void BM_PrimesChain(benchmark::State &State) {
     Config.Policy = Which == Variant::Lifo ? makeLocalLifoPolicy()
                                            : makeLocalFifoPolicy();
     Config.StackSize = 4 * 1024 * 1024;
-    Config.MaxStealDepth = 1 << 20;
     sting::bench::ObsHarness::instance().configure(Config);
     VirtualMachine Vm(Config);
     State.ResumeTiming();

@@ -33,6 +33,15 @@ struct FilterOp {
 
 constexpr int EndMarker = -1;
 
+/// Waits for \p Stage without stealing it, so a stage ends only after
+/// its downstream one and the sieve returns only after every stage has
+/// ended: a machine torn down under live stages drops their frames
+/// without unwinding them.
+void joinStage(Thread &Stage) {
+  Thread *T = &Stage;
+  TC::blockOnGroup(1, std::span<Thread *const>(&T, 1));
+}
+
 void filterStage(int Prime, std::shared_ptr<Stream<int>> Input,
                  const FilterOp &Op, std::shared_ptr<Stream<int>> Primes) {
   auto NextOut = std::make_shared<Stream<int>>();
@@ -62,11 +71,13 @@ void filterStage(int Prime, std::shared_ptr<Stream<int>> Input,
     NextOut->attach(EndMarker);
     if (Op.DemandDownstream) {
       // Demand the delayed stage. thread-run first so a steal refused by
-      // the depth bound still leaves the stage runnable, then touch it —
+      // the stack bound still leaves the stage runnable, then touch it —
       // usually inlining the whole downstream chain onto this TCB (the
       // paper's thunk stealing, Fig. 4).
       TC::threadRun(*Next);
       TC::threadWait(*Next);
+    } else {
+      joinStage(*Next);
     }
   } else {
     Primes->attach(EndMarker);
@@ -90,6 +101,7 @@ int sieve(const FilterOp &Op, int Limit) {
   auto Pos = Primes->begin();
   while (Primes->next(Pos) != EndMarker)
     ++Count;
+  joinStage(*First);
   return Count;
 }
 

@@ -67,7 +67,6 @@ int runWith(PolicyFactory Policy, const char *Name, int Limit) {
   // Steal cascades unfold the whole dependency chain on one stack; give
   // it room (stacks are lazily committed virtual memory).
   Config.StackSize = 4 * 1024 * 1024;
-  Config.MaxStealDepth = 2000;
   VirtualMachine Vm(Config);
   AnyValue R = Vm.run(
       [Limit]() -> AnyValue { return AnyValue(countPrimes(Limit)); });

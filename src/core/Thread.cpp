@@ -101,11 +101,18 @@ Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
     if (Creator)
       ParentId = Creator->id();
     if (Opts.Group)
-      Group = IntrusivePtr<ThreadGroup>(Opts.Group);
+      Group = Opts.Group;
     else if (Creator && Creator->group())
-      Group = IntrusivePtr<ThreadGroup>(Creator->group());
+      Group = Creator->group();
     else
-      Group = IntrusivePtr<ThreadGroup>(&Vm.rootGroup());
+      Group = &Vm.rootGroup();
+    // The root group's count would be one line every VP's forks write;
+    // the machine destroys that group only after its VPs, so members of
+    // it need no reference.
+    if (Group != &Vm.rootGroup()) {
+      Group->retain();
+      HoldsGroupRef = true;
+    }
     Group->addMember(*this);
   }
 
@@ -123,16 +130,33 @@ Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
 
 Thread::~Thread() {
   STING_DCHECK(!Waiters, "destroying a thread that still has waiters");
-  if (state() == ThreadState::Determined)
-    return;
-  // Dropped before it ever determined (never demanded, stolen or
-  // terminated): count it terminated by determine()'s rule, so created ==
-  // terminated still holds, and leave the group. A machine's teardown
-  // drops the threads still queued on it; its counters are past use then.
-  if (!Vm->isShuttingDown())
-    chargeLifecycle(*Vm, &obs::SchedStats::ThreadsTerminated);
-  if (Group)
-    Group->removeMember(*this);
+  if (state() != ThreadState::Determined) {
+    // Dropped before it ever determined (never demanded, stolen or
+    // terminated): count it terminated by determine()'s rule, so created
+    // == terminated still holds, and leave the group. A machine's teardown
+    // drops the threads still queued on it; its counters are past use
+    // then.
+    if (!Vm->isShuttingDown())
+      chargeLifecycle(*Vm, &obs::SchedStats::ThreadsTerminated);
+    if (Group)
+      Group->removeMember(*this);
+  }
+  if (HoldsGroupRef)
+    Group->release();
+}
+
+void *Thread::operator new(std::size_t Size) {
+  STING_DCHECK(Size == sizeof(Thread), "Thread storage of the wrong size");
+  if (VirtualProcessor *Vp = currentVp())
+    if (void *P = Vp->takeThreadStorage())
+      return P;
+  return ::operator new(Size);
+}
+
+void Thread::operator delete(void *P) {
+  VirtualProcessor *Vp = currentVp();
+  if (!Vp || !Vp->keepThreadStorage(P))
+    ::operator delete(P);
 }
 
 ThreadRef Thread::create(VirtualMachine &Vm, Thunk Code,

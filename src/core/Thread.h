@@ -206,8 +206,11 @@ public:
   /// not be kept alive by them.
   std::uint64_t parentId() const { return ParentId; }
 
-  /// The thread's group (never null once created normally).
-  ThreadGroup *group() const { return Group.get(); }
+  /// The thread's group (never null once created normally). The machine
+  /// owns its root group and its members hold no reference to it, so a
+  /// thread that outlives its machine may not read its group, just as it
+  /// may not touch vm().
+  ThreadGroup *group() const { return Group; }
 
   /// The thread's dynamic environment (paper section 3.1: fluid bindings).
   /// Captured from the creator at fork; mutated only by the owning thread
@@ -224,6 +227,12 @@ private:
 
   Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts);
   ~Thread();
+
+  /// Thread storage comes from the calling VP's cache, like TCBs, so a
+  /// thread created, stolen and dropped on one VP costs no allocator call;
+  /// callers off a VP use the global allocator.
+  static void *operator new(std::size_t Size);
+  static void operator delete(void *P);
 
   /// Attempts the CAS \p From -> \p To on the state word.
   bool tryTransition(ThreadState From, ThreadState To) {
@@ -255,6 +264,9 @@ private:
   /// The shard of Group's member list this thread sits on (set by
   /// ThreadGroup::addMember, read by removeMember).
   std::uint8_t GroupShard = 0;
+  /// True when this thread holds a reference on Group: every group but
+  /// its machine's root group, which the machine keeps alive itself.
+  bool HoldsGroupRef = false;
   std::uint64_t SuspendOnStartQuantum = 0;
   std::atomic<int> Priority{0};
   std::atomic<std::uint64_t> Flow{0};
@@ -275,7 +287,7 @@ private:
   /// the dynamic context race-free. Cleared by determine().
   Tcb *OwnedTcb = nullptr;
 
-  IntrusivePtr<ThreadGroup> Group;
+  ThreadGroup *Group = nullptr;
   std::uint64_t ParentId = 0;
 };
 

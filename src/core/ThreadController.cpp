@@ -70,6 +70,19 @@ void scheduleThread(Thread &T, VirtualProcessor *Explicit,
   Target.enqueue(T, Reason);
 }
 
+/// Stack bytes one more steal may need below trySteal's frame: one
+/// nesting level (trySteal, runStolen, the thunk, up to its next touch)
+/// plus the blocking path a refused steal takes instead. One level of
+/// bench/app_sieve's stream stage measures 816 bytes in an optimized
+/// build and 2.6 KiB under ASan+UBSan, whose redzones widen every frame
+/// (examples/primes_futures: 352 bytes and 1.3 KiB); each reserve is
+/// about 20 of those levels.
+#if STING_ASAN_CONTEXT
+constexpr std::size_t StealStackReserve = 48 * 1024;
+#else
+constexpr std::size_t StealStackReserve = 16 * 1024;
+#endif
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -403,7 +416,7 @@ WaitResult ThreadController::blockOnGroupUntil(std::size_t Count,
   // Liveness: the wait completes only if at least Count members run to
   // determination, but a delayed member sits on no ready queue — the steal
   // fast path was the only other thing that would ever run it, and it may
-  // have declined (depth bound, state race, injected fault). Blocking on a
+  // have declined (stack bound, state race, injected fault). Blocking on a
   // thread is a demand for its value, so schedule just enough delayed
   // members to cover the deficit. No more than that: a wait-for-one over a
   // forked favorite and a delayed fallback must leave the fallback lazy.
@@ -505,10 +518,12 @@ bool ThreadController::trySteal(Thread &T) {
     STING_TRACE_EVENT(StealFail, T.id(), 2);
     return false;
   }
-  // Every steal nests the stolen thunk on this TCB's stack; beyond the
-  // machine's depth bound, fall back to blocking so deep dependency
-  // chains cannot overflow it.
-  if (C.StealDepth >= T.vm().config().MaxStealDepth) {
+  // Every steal nests the stolen thunk on this TCB's stack. Refuse one
+  // that would start with less than a steal's reserve left below this
+  // frame and block instead, so deep dependency chains cannot overflow it.
+  auto *Frame = static_cast<char *>(__builtin_frame_address(0));
+  if (Frame - static_cast<char *>(C.Stk->base()) <
+      static_cast<std::ptrdiff_t>(StealStackReserve)) {
     C.vp()->stats().StealsFailed.inc();
     STING_TRACE_EVENT(StealFail, T.id(), 1);
     return false;

@@ -37,8 +37,9 @@ ThreadGroup::ThreadGroup(ThreadGroup *Parent)
 }
 
 ThreadGroup::~ThreadGroup() {
-  // Members hold a reference to the group, so the group can only die after
-  // every member left.
+  // Members hold a reference to a user group, and the machine destroys
+  // its root group after its VPs, so a group dies only after every member
+  // left.
   for ([[maybe_unused]] const Shard &S : Shards)
     STING_DCHECK(S.Members.empty(), "destroying a group with live members");
   GroupRegistry &R = registry();

@@ -16,8 +16,10 @@
 ///
 /// Members are sharded by the VP that created them: each shard has its own
 /// lock, member list and creation count on its own cache line, so forks
-/// and exits on different VPs never touch the same group word (the group's
-/// reference count aside). Whole-group operations walk every shard.
+/// and exits on different VPs never touch the same group word (a user
+/// group's reference count aside: members of a machine's root group hold
+/// no reference, see Thread::group()). Whole-group operations walk every
+/// shard.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -61,10 +61,6 @@ struct VmConfig {
   /// queue yields the PP to sibling VPs this often (VPs are multiplexed on
   /// PPs "in the same way that threads are multiplexed on VPs").
   std::uint64_t VpSliceNanos = 1'000'000; // 1 ms
-  /// Maximum nesting of stolen thunks on one TCB; a touch that would
-  /// exceed it blocks instead (steals consume the toucher's stack, so deep
-  /// dependency chains can otherwise overflow it).
-  int MaxStealDepth = 64;
   /// Per-VP scheduling policy factory; default is local FIFO.
   PolicyFactory Policy;
   /// Per-PP policy multiplexing VPs onto physical processors; default is

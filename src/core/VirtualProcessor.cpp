@@ -13,6 +13,12 @@
 #include "obs/Flow.h"
 #include "support/Clock.h"
 
+#include <algorithm>
+
+#if STING_ASAN_CONTEXT
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace sting {
 
 namespace {
@@ -71,6 +77,13 @@ VirtualProcessor::~VirtualProcessor() {
     }
     delete &C;
   });
+
+  for (std::size_t I = 0; I != CachedThreads; ++I) {
+#if STING_ASAN_CONTEXT
+    ASAN_UNPOISON_MEMORY_REGION(ThreadBlocks[I], sizeof(Thread));
+#endif
+    ::operator delete(ThreadBlocks[I]);
+  }
 
   while (!TcbCache.empty()) {
     Tcb &C = TcbCache.popFront();
@@ -145,21 +158,36 @@ void VirtualProcessor::schedulerLoop() {
 }
 
 bool VirtualProcessor::dispatchOne() {
-  Schedulable *Item = Policy->getNextThread(*this);
-  if (!Item) {
-    Stats.IdleCalls.inc();
-    Item = Policy->vpIdle(*this);
-  }
-  if (!Item) {
-    // First fruitless dispatch of an idle episode: this VP is parking (its
-    // PP may go on to sleep on the machine eventcount). Counted once per
-    // episode, not once per idle poll.
-    if (!IdleParked) {
-      IdleParked = true;
-      Stats.VpParks.inc();
-      STING_TRACE_EVENT(VpPark, 0, 0);
+  Schedulable *Item;
+  for (;;) {
+    Item = Policy->getNextThread(*this);
+    if (!Item) {
+      Stats.IdleCalls.inc();
+      Item = Policy->vpIdle(*this);
     }
-    return false;
+    if (!Item) {
+      // First fruitless dispatch of an idle episode: this VP is parking
+      // (its PP may go on to sleep on the machine eventcount). Counted
+      // once per episode, not once per idle poll.
+      if (!IdleParked) {
+        IdleParked = true;
+        Stats.VpParks.inc();
+        STING_TRACE_EVENT(VpPark, 0, 0);
+      }
+      return false;
+    }
+    Stats.Dequeues.inc();
+    if (!Item->isThread())
+      break;
+    // Claim the thread. A failure means it was stolen or terminated while
+    // queued: lazy removal drops the queue's reference and pops the next
+    // entry at once, so a stale entry costs no scheduler lap.
+    Thread &T = Item->asThread();
+    if (T.tryTransition(ThreadState::Scheduled, ThreadState::Evaluating))
+      break;
+    Stats.SkippedStale.inc();
+    STING_TRACE_EVENT(DequeueStale, T.id(), 0);
+    T.release();
   }
   if (IdleParked) {
     IdleParked = false;
@@ -170,22 +198,11 @@ bool VirtualProcessor::dispatchOne() {
                               ? 0xffffffff
                               : Stats.VpParks.get()));
   }
-  Stats.Dequeues.inc();
 
   if (Item->isThread()) {
-    Thread &T = Item->asThread();
-    // Claim the thread. A failure means it was stolen or terminated while
-    // queued — lazy removal, drop the queue's reference and move on.
-    if (!T.tryTransition(ThreadState::Scheduled, ThreadState::Evaluating)) {
-      Stats.SkippedStale.inc();
-      STING_TRACE_EVENT(DequeueStale, T.id(), 0);
-      T.release();
-      return true;
-    }
-    runFresh(T);
+    runFresh(Item->asThread());
     return true;
   }
-
   Stats.Resumes.inc();
   resume(Item->asTcb());
   return true;
@@ -372,6 +389,37 @@ void VirtualProcessor::recycleTcb(Tcb &C) {
   }
   ++CachedTcbs;
   TcbCache.pushFront(C);
+}
+
+//===----------------------------------------------------------------------===//
+// Thread storage cache
+//===----------------------------------------------------------------------===//
+
+void *VirtualProcessor::takeThreadStorage() {
+#if STING_ASAN_CONTEXT
+  // Reuse only the oldest block of a full cache, so a freed thread's
+  // block stays poisoned for the next MaxCachedThreads frees and a late
+  // use of it is still reported, not served by its successor.
+  if (CachedThreads != MaxCachedThreads)
+    return nullptr;
+  void *P = ThreadBlocks[0];
+  std::copy(ThreadBlocks + 1, ThreadBlocks + CachedThreads, ThreadBlocks);
+  --CachedThreads;
+  ASAN_UNPOISON_MEMORY_REGION(P, sizeof(Thread));
+  return P;
+#else
+  return CachedThreads == 0 ? nullptr : ThreadBlocks[--CachedThreads];
+#endif
+}
+
+bool VirtualProcessor::keepThreadStorage(void *P) {
+  if (CachedThreads == MaxCachedThreads)
+    return false;
+#if STING_ASAN_CONTEXT
+  ASAN_POISON_MEMORY_REGION(P, sizeof(Thread));
+#endif
+  ThreadBlocks[CachedThreads++] = P;
+  return true;
 }
 
 } // namespace sting

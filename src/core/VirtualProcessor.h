@@ -113,6 +113,7 @@ public:
 
 private:
   friend class PhysicalProcessor;
+  friend class Thread;
   friend class ThreadController;
   friend class VirtualMachine;
 
@@ -123,8 +124,9 @@ private:
   /// Context entry for freshly bound TCBs.
   static void tcbEntry(void *Arg);
 
-  /// Dispatches one ready item; \returns false if there was nothing to run
-  /// (after consulting pm-vp-idle).
+  /// Dispatches one ready item, dropping the stale entries (threads stolen
+  /// or terminated while queued) ahead of it; \returns false if there was
+  /// nothing to run (after consulting pm-vp-idle).
   bool dispatchOne();
 
   /// Binds \p T (already CAS'd to Evaluating) to a TCB and runs it.
@@ -142,6 +144,13 @@ private:
 
   /// Recycles \p C after its thread exited.
   void recycleTcb(Tcb &C);
+
+  /// Pops a cached Thread block, or \returns null (Thread::operator new).
+  void *takeThreadStorage();
+
+  /// Caches the freed Thread block \p P; \returns false when the cache is
+  /// full and the caller must free it (Thread::operator delete).
+  bool keepThreadStorage(void *P);
 
   // Read-mostly line: every enqueue onto this VP, remote ones included,
   // loads Policy, so nothing the owner writes per switch lives here.
@@ -192,6 +201,13 @@ private:
   StackPool Stacks;
   IntrusiveList<Tcb, TcbCacheTag> TcbCache;
   std::size_t CachedTcbs = 0;
+
+  /// Freed Thread blocks this VP's forks reuse, capped like the TCB
+  /// cache. In ASan builds a cached block stays poisoned until reuse, and
+  /// only the oldest block of a full cache is reused.
+  static constexpr std::size_t MaxCachedThreads = 64;
+  void *ThreadBlocks[MaxCachedThreads];
+  std::size_t CachedThreads = 0;
 
   /// This VP's reserved block of thread ids, [NextId, IdLimit); refilled
   /// by VirtualMachine::nextThreadId. Owner-only.

@@ -12,7 +12,9 @@
 #include "core/VirtualProcessor.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
+#include <sched.h>
 #include <set>
 #include <vector>
 
@@ -31,6 +33,76 @@ TEST(GroupTest, ChildrenJoinCreatorsGroupByDefault) {
     return AnyValue(Same);
   });
   EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(GroupTest, ForksLeaveTheRootGroupCountAlone) {
+  // The machine owns its root group; members take no reference on it, so
+  // forks on every VP write no shared group word.
+  constexpr int Forks = 1000;
+  VirtualMachine Vm(VmConfig{.NumVps = 4, .NumPps = 2});
+  ThreadGroup &Root = Vm.rootGroup();
+  const std::uint32_t Before = Root.refCount();
+  std::atomic<std::uint32_t> Seen{Before};
+  Vm.run([&]() -> AnyValue {
+    std::vector<ThreadRef> Forkers;
+    for (unsigned V = 0; V != Vm.numVps(); ++V) {
+      SpawnOptions Opts;
+      Opts.Vp = &Vm.vp(V);
+      Opts.Stealable = false; // fork on VP V, not on the toucher
+      Forkers.push_back(TC::forkThread(
+          [&]() -> AnyValue {
+            std::vector<ThreadRef> Children;
+            for (int I = 0; I != Forks; ++I)
+              Children.push_back(
+                  TC::forkThread([]() -> AnyValue { return AnyValue(); }));
+            // Every child is alive here, a member of the root group.
+            std::uint32_t Now = Root.refCount();
+            if (Now != Before)
+              Seen.store(Now);
+            for (ThreadRef &C : Children)
+              TC::threadWait(*C);
+            return AnyValue(currentThread()->group() == &Root);
+          },
+          Opts));
+    }
+    for (ThreadRef &F : Forkers)
+      EXPECT_TRUE(TC::threadValue(*F).as<bool>());
+    return AnyValue();
+  });
+  EXPECT_EQ(Seen.load(), Before);
+  EXPECT_EQ(Root.refCount(), Before);
+  EXPECT_EQ(Root.totalCreated(),
+            1u + Vm.numVps() * (1u + static_cast<unsigned>(Forks)));
+}
+
+TEST(GroupTest, UserGroupOutlivesItsLastRefWhileItHasMembers) {
+  VirtualMachine Vm;
+  std::atomic<bool> Release{false};
+  ThreadGroup *Raw = nullptr;
+  ThreadRef Member;
+  {
+    ThreadGroupRef G = ThreadGroup::create();
+    Raw = G.get();
+    SpawnOptions Opts;
+    Opts.Group = G.get();
+    Opts.Stealable = false;
+    Member = Vm.fork(
+        [&]() -> AnyValue {
+          while (!Release.load())
+            sched_yield();
+          return AnyValue(5);
+        },
+        Opts);
+  } // the creator's last ThreadGroupRef
+  EXPECT_EQ(Member->group(), Raw);
+  EXPECT_EQ(Raw->liveCount(), 1u);
+  std::vector<ThreadGroupRef> All = ThreadGroup::allGroups();
+  EXPECT_NE(std::find(All.begin(), All.end(), ThreadGroupRef(Raw)),
+            All.end());
+  All.clear();
+  Release.store(true);
+  Member->join();
+  EXPECT_EQ(Member->result().as<int>(), 5);
 }
 
 TEST(GroupTest, ExplicitGroupOverridesInheritance) {

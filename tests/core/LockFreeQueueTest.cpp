@@ -10,114 +10,28 @@
 // concurrency tests are conservation arguments — every item consumed
 // exactly once — and are meant to run under TSan and ASan in CI.
 //
-// This file replaces the global operator new with one that counts the
-// calls made on a thread that has opted in (allocsDuring below).
+// Allocations are counted by the interposer in AllocCounter.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/policy/RemoteMailbox.h"
 #include "core/policy/WorkStealingDeque.h"
 
+#include "AllocCounter.h"
 #include "core/VirtualMachine.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <thread>
 #include <vector>
 
 namespace {
 
-/// Set on the one thread whose allocations are counted.
-thread_local bool CountAllocs = false;
-std::atomic<std::uint64_t> Allocs{0};
-
-void *countedAlloc(std::size_t N, std::size_t Align) {
-  if (CountAllocs)
-    Allocs.fetch_add(1, std::memory_order_relaxed);
-  if (N == 0)
-    N = 1;
-  if (Align <= alignof(std::max_align_t))
-    return std::malloc(N);
-  return std::aligned_alloc(Align, (N + Align - 1) / Align * Align);
-}
-
-void *countedAllocOrThrow(std::size_t N, std::size_t Align) {
-  if (void *P = countedAlloc(N, Align))
-    return P;
-  throw std::bad_alloc();
-}
-
-} // namespace
-
-// Every replaceable form, so each allocation and its release go through
-// one malloc/free pair whatever the sanitizer runtime defines.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void *operator new(std::size_t N) { return countedAllocOrThrow(N, 0); }
-void *operator new[](std::size_t N) { return countedAllocOrThrow(N, 0); }
-void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
-  return countedAlloc(N, 0);
-}
-void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
-  return countedAlloc(N, 0);
-}
-void *operator new(std::size_t N, std::align_val_t A) {
-  return countedAllocOrThrow(N, static_cast<std::size_t>(A));
-}
-void *operator new[](std::size_t N, std::align_val_t A) {
-  return countedAllocOrThrow(N, static_cast<std::size_t>(A));
-}
-void *operator new(std::size_t N, std::align_val_t A,
-                   const std::nothrow_t &) noexcept {
-  return countedAlloc(N, static_cast<std::size_t>(A));
-}
-void *operator new[](std::size_t N, std::align_val_t A,
-                     const std::nothrow_t &) noexcept {
-  return countedAlloc(N, static_cast<std::size_t>(A));
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-void operator delete(void *P, std::align_val_t,
-                     const std::nothrow_t &) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, std::align_val_t,
-                       const std::nothrow_t &) noexcept {
-  std::free(P);
-}
-
-namespace {
-
 using namespace sting;
-
-/// \returns the operator new calls \p F makes on the calling thread.
-template <typename Fn> std::uint64_t allocsDuring(Fn &&F) {
-  const std::uint64_t Before = Allocs.load(std::memory_order_relaxed);
-  CountAllocs = true;
-  F();
-  CountAllocs = false;
-  return Allocs.load(std::memory_order_relaxed) - Before;
-}
+using sting::testutil::allocsDuring;
 
 /// Minimal concrete Schedulable for queue tests (never dispatched, so the
 /// Thread/Tcb downcasts are never exercised).

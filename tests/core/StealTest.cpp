@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Current.h"
+#include "core/PhysicalProcessor.h"
 #include "core/Tcb.h"
 #include "core/ThreadController.h"
 #include "core/VirtualMachine.h"
@@ -16,6 +17,8 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <sched.h>
+#include <vector>
 
 namespace {
 
@@ -99,6 +102,109 @@ TEST(StealTest, ScheduledThreadStolenBeforeDispatchIsSkipped) {
     Skipped = Vm.vp(0).stats().SkippedStale;
   }
   EXPECT_GE(Skipped, 1u);
+}
+
+TEST(StealTest, StaleEntriesAreDroppedWithoutASchedulerLap) {
+  // VP 1 is busy with a spinner while a thread on VP 0 forks N stealable
+  // threads onto it, steals every one, and queues a marker behind them.
+  // Once the spinner exits, VP 1 drops the N stale entries and runs the
+  // marker in the same stretch on its PP: no dispatch between them, and
+  // no yield to the PP per SliceDispatches (64) stale entries, which
+  // would switch VP 1 in again N / 64 times.
+  constexpr int N = 512;
+  VirtualMachine Vm(VmConfig{.NumVps = 2, .NumPps = 2});
+  VirtualProcessor &Vp1 = Vm.vp(1);
+  struct Reading {
+    std::uint64_t Stale, Dispatches, Switches;
+  };
+  // Taken on VP 1's own OS thread, which writes all three.
+  auto Read = [&Vp1] {
+    return Reading{Vp1.stats().SkippedStale, Vp1.stats().Dispatches,
+                   Vp1.physicalProcessor()->vpSwitches()};
+  };
+  Reading AtSpinnerExit{}, AtMarker{};
+  std::atomic<bool> Spinning{false};
+  std::atomic<bool> Release{false};
+  SpawnOptions Pinned;
+  Pinned.Vp = &Vp1;
+  Pinned.Stealable = false;
+  ThreadRef Spinner = Vm.fork(
+      [&]() -> AnyValue {
+        Spinning.store(true);
+        while (!Release.load())
+          sched_yield();
+        AtSpinnerExit = Read();
+        return AnyValue();
+      },
+      Pinned);
+  while (!Spinning.load())
+    sched_yield();
+
+  ThreadRef Marker;
+  SpawnOptions OnVp0;
+  OnVp0.Vp = &Vm.vp(0);
+  Vm.run(
+      [&]() -> AnyValue {
+        SpawnOptions OnVp1;
+        OnVp1.Vp = &Vp1;
+        std::vector<ThreadRef> Queued;
+        for (int I = 0; I != N; ++I)
+          Queued.push_back(
+              TC::forkThread([I]() -> AnyValue { return AnyValue(I); }, OnVp1));
+        for (ThreadRef &T : Queued)
+          EXPECT_TRUE(TC::trySteal(*T));
+        Marker = TC::forkThread(
+            [&]() -> AnyValue {
+              AtMarker = Read();
+              return AnyValue();
+            },
+            Pinned);
+        return AnyValue();
+      },
+      OnVp0);
+  Release.store(true);
+  Spinner->join();
+  Marker->join();
+
+  EXPECT_EQ(AtMarker.Stale - AtSpinnerExit.Stale, static_cast<unsigned>(N));
+  EXPECT_EQ(AtMarker.Dispatches - AtSpinnerExit.Dispatches, 1u)
+      << "only the marker's own dispatch";
+  // The spinner may outrun its VP's slice on the PP, so VP 1 can yield
+  // once on its way out.
+  EXPECT_LE(AtMarker.Switches - AtSpinnerExit.Switches, 1u);
+
+  obs::SchedStatsSnapshot S = Vm.aggregateStats();
+  for (int I = 0; I != 2000 && S.Enqueues != S.Dequeues; ++I) {
+    sched_yield();
+    S = Vm.aggregateStats();
+  }
+  EXPECT_EQ(S.Enqueues, S.Dequeues);
+}
+
+TEST(StealTest, StackBoundRefusesADeepStealAndTheChainBlocks) {
+  // Each delayed link touches its predecessor, so the chain nests one
+  // steal per link on the toucher's stack — far more links than a 64 KiB
+  // stack holds. The bound refuses a steal, the refused link blocks,
+  // which schedules its predecessor on a fresh TCB, and the chain still
+  // completes.
+  constexpr int Links = 1000;
+  VirtualMachine Vm(VmConfig{.NumVps = 1, .NumPps = 1, .StackSize = 64 * 1024});
+  AnyValue V = Vm.run([]() -> AnyValue {
+    std::vector<ThreadRef> Chain;
+    Chain.push_back(
+        TC::createThread([]() -> AnyValue { return AnyValue(1); }));
+    for (int I = 1; I != Links; ++I)
+      Chain.push_back(TC::createThread([Prev = Chain.back()]() -> AnyValue {
+        return AnyValue(TC::threadValue(*Prev).as<int>() + 1);
+      }));
+    return AnyValue(TC::threadValue(*Chain.back()).as<int>());
+  });
+  EXPECT_EQ(V.as<int>(), Links);
+  obs::SchedStatsSnapshot S = Vm.aggregateStats();
+  // One VP and only delayed links: nothing but the bound refuses a steal.
+  EXPECT_GE(S.StealsFailed, 1u);
+  EXPECT_GE(S.StealsSucceeded, 1u);
+  EXPECT_EQ(S.StealsSucceeded + S.StealsFailed, S.StealsAttempted);
 }
 
 TEST(StealTest, NestedStealsUnfoldDependencyChain) {
