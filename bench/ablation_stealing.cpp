@@ -15,13 +15,23 @@
 // The `steals` and `blocks`-oriented counters tell the story; wall time
 // shows the locality payoff.
 //
+// BM_ForkComputeTouch guards the other side of local placement (DESIGN.md
+// sections 5 and 8.5): a future its forker does not touch for a while must
+// still start on an idle VP. Each round forks a future of `work_us` of
+// spinning, spins as long itself, then touches the future; on 4 VPs over 2
+// PPs a round takes about work_us when the future runs on the other PP and
+// twice that when it runs serially. `offvp` is the share of futures that
+// started away from their forker's VP.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ObsHarness.h"
 #include "sting/Sting.h"
+#include "support/Clock.h"
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 
 using namespace sting;
@@ -109,6 +119,44 @@ void BM_PrimesChain(benchmark::State &State) {
   State.counters["primes"] = static_cast<double>(Count);
 }
 
+/// Busy-waits \p Us microseconds without a controller call.
+void spinFor(std::uint64_t Us) {
+  const std::uint64_t End = nowNanos() + Us * 1000;
+  while (nowNanos() < End) {
+  }
+}
+
+void BM_ForkComputeTouch(benchmark::State &State) {
+  constexpr int Rounds = 100;
+  const auto WorkUs = static_cast<std::uint64_t>(State.range(0));
+  VmConfig Config;
+  Config.NumVps = 4;
+  Config.NumPps = 2;
+  sting::bench::ObsHarness::instance().configure(Config);
+  VirtualMachine Vm(Config);
+
+  std::atomic<std::uint64_t> OffVp{0};
+  for (auto _ : State) {
+    Vm.run([&]() -> AnyValue {
+      VirtualProcessor *Home = currentVp();
+      for (int R = 0; R != Rounds; ++R) {
+        Future<int> F = Future<int>::spawn([&] {
+          if (currentVp() != Home)
+            OffVp.fetch_add(1, std::memory_order_relaxed);
+          spinFor(WorkUs);
+          return 1;
+        });
+        spinFor(WorkUs);
+        F.touch();
+      }
+      return AnyValue();
+    });
+  }
+  sting::bench::ObsHarness::instance().capture("fork_compute_touch", Vm);
+  State.counters["offvp"] = static_cast<double>(OffVp.load()) /
+                            static_cast<double>(State.iterations() * Rounds);
+}
+
 } // namespace
 
 // Variant x Limit sweep. pi(2000) = 303, pi(6000) = 783.
@@ -121,5 +169,15 @@ BENCHMARK(BM_PrimesChain)
     ->Args({static_cast<int>(Variant::Fifo), 6000})
     ->Args({static_cast<int>(Variant::FifoNoSteal), 6000})
     ->Unit(benchmark::kMillisecond);
+
+// Future grain sweep: fine (touched before an idle VP may take it) to
+// coarse (worth starting elsewhere).
+BENCHMARK(BM_ForkComputeTouch)
+    ->ArgName("work_us")
+    ->Arg(100)
+    ->Arg(2000)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 STING_BENCH_MAIN();

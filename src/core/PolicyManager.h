@@ -97,10 +97,13 @@ public:
   /// Hint: the currently running thread's quantum changed (pm-quantum).
   virtual void quantumHint(VirtualProcessor &Vp, std::uint64_t Nanos);
 
-  /// Chooses a VP for a newly created thread when the spawner did not pin
-  /// one — initial load balancing (the paper's first decision point).
-  /// Default: the creating VP itself.
-  virtual VirtualProcessor &selectVpForNewThread(VirtualProcessor &Creator);
+  /// Chooses a VP for \p T, a thread \p Creator is scheduling without an
+  /// explicit SpawnOptions::Vp — initial load balancing (the paper's first
+  /// decision point). \p T is Scheduled but not yet queued, so its
+  /// attributes (stealable, priority, group) may steer the choice. Only the
+  /// creator's own VP calls this. Default: the creating VP itself.
+  virtual VirtualProcessor &selectVpForNewThread(VirtualProcessor &Creator,
+                                                 const Thread &T);
 
   /// Called when \p Vp has no evaluating threads (pm-vp-idle). May migrate
   /// a thread from another VP and return it, "do bookkeeping", or return
@@ -121,7 +124,12 @@ using PolicyFactory = std::function<std::unique_ptr<PolicyManager>(
 /// Built-in policies (see core/policy/*.cpp and DESIGN.md section 2):
 
 /// Per-VP FIFO with round-robin semantics — the preemptive scheduler the
-/// paper recommends for master/slave programs.
+/// paper recommends for master/slave programs. Placement is lazy task
+/// creation: a stealable thread stays on its creator's VP (an owner push,
+/// no shared word), where a touch usually runs it inline; an idle sibling
+/// takes it only after seeing it at the top of that VP's deque on two idle
+/// probes in a row. Non-stealable threads are spread round-robin. The
+/// machine default.
 PolicyFactory makeLocalFifoPolicy();
 
 /// Per-VP LIFO — the scheduler the paper recommends for tree-structured

@@ -17,7 +17,7 @@ void PolicyManager::priorityHint(VirtualProcessor &, int) {}
 void PolicyManager::quantumHint(VirtualProcessor &, std::uint64_t) {}
 
 VirtualProcessor &PolicyManager::selectVpForNewThread(
-    VirtualProcessor &Creator) {
+    VirtualProcessor &Creator, const Thread &) {
   return Creator;
 }
 

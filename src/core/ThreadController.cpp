@@ -51,13 +51,14 @@ struct ThreadTerminated {
   AnyValue Result;
 };
 
-/// Picks the VP a new/rescheduled thread should go to when the caller did
-/// not pin one.
-VirtualProcessor &chooseVp(VirtualMachine &Vm, VirtualProcessor *Explicit) {
+/// Picks the VP a new/rescheduled thread \p T should go to when the caller
+/// did not pin one.
+VirtualProcessor &chooseVp(const Thread &T, VirtualProcessor *Explicit) {
   if (Explicit)
     return *Explicit;
+  VirtualMachine &Vm = T.vm();
   if (VirtualProcessor *Cur = currentVp(); Cur && &Cur->vm() == &Vm)
-    return Cur->policy().selectVpForNewThread(*Cur);
+    return Cur->policy().selectVpForNewThread(*Cur, T);
   return Vm.vp(0);
 }
 
@@ -65,7 +66,7 @@ VirtualProcessor &chooseVp(VirtualMachine &Vm, VirtualProcessor *Explicit) {
 /// transferring a new queue reference.
 void scheduleThread(Thread &T, VirtualProcessor *Explicit,
                     EnqueueReason Reason) {
-  VirtualProcessor &Target = chooseVp(T.vm(), Explicit);
+  VirtualProcessor &Target = chooseVp(T, Explicit);
   T.retain(); // the ready queue's reference
   Target.enqueue(T, Reason);
 }

@@ -90,7 +90,7 @@ inline void drainMailbox(RemoteMailbox &Mailbox, VirtualProcessor &Vp,
 ///     Q.drainAll(Vp, D);
 ///   }
 ///
-/// stealTop() is the victim end for cross-instance work stealing.
+/// stealFresh() is the victim end for cross-instance work stealing.
 class FastPathQueue {
 public:
   /// Routes by ownership: the owner pushes straight onto the deque
@@ -135,12 +135,12 @@ public:
     MailboxDepth = Mailbox.size();
   }
 
-  /// Victim end for sibling policies: one element off the top, or null.
-  Schedulable *stealTop() {
-    Schedulable *Item = nullptr;
-    while (Deque.steal(Item) == WorkStealingDeque::StealResult::Lost) {
-    }
-    return Item;
+  /// Victim end for idle siblings: the top element if it is an unstarted
+  /// thread that the thief's previous probe (\p Seen) already found there.
+  /// See WorkStealingDeque::stealFresh.
+  WorkStealingDeque::StealResult stealFresh(Schedulable *&Out,
+                                            std::int64_t &Seen) {
+    return Deque.stealFresh(Out, Seen);
   }
 
   /// Shutdown drain (runs single-threaded after the PPs have joined).

@@ -75,7 +75,8 @@ public:
     MailboxDepth = 0;
   }
 
-  VirtualProcessor &selectVpForNewThread(VirtualProcessor &) override {
+  VirtualProcessor &selectVpForNewThread(VirtualProcessor &,
+                                         const Thread &) override {
     // Only the owning VP forks through its own policy, so the round-robin
     // cursor is a plain owner-only word.
     return Vm->vp(Cursor++ % Vm->numVps());

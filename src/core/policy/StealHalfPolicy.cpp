@@ -24,32 +24,20 @@
 #include "core/VirtualMachine.h"
 #include "core/VirtualProcessor.h"
 #include "core/policy/FastPath.h"
+#include "core/policy/Siblings.h"
 #include "support/Chaos.h"
 #include "support/Random.h"
 
 #include <memory>
-#include <vector>
 
 namespace sting {
 
 namespace {
 
-class StealHalfPolicy;
-
-/// Registry shared by all instances so an idle VP can find victims.
-struct StealRegistry {
-  std::vector<StealHalfPolicy *> Members;
-};
-
 class StealHalfPolicy final : public PolicyManager {
 public:
-  StealHalfPolicy(VirtualMachine &Vm, unsigned VpIndex,
-                  std::shared_ptr<StealRegistry> Registry)
-      : Vm(&Vm), VpIndex(VpIndex), Registry(std::move(Registry)) {
-    if (this->Registry->Members.size() <= VpIndex)
-      this->Registry->Members.resize(VpIndex + 1, nullptr);
-    this->Registry->Members[VpIndex] = this;
-  }
+  StealHalfPolicy(VirtualMachine &Vm, unsigned VpIndex)
+      : VpIndex(VpIndex), Peers(Vm, VpIndex) {}
 
   Schedulable *getNextThread(VirtualProcessor &Vp) override {
     fastpath::drainMailbox(Mailbox, Vp,
@@ -108,8 +96,7 @@ public:
     // probes come up empty, fall back to the exhaustive nearest-first
     // sweep — randomized probing alone could starve a two-VP machine or
     // miss the single busy sibling indefinitely.
-    const auto &Members = Registry->Members;
-    const std::size_t N = Members.size();
+    const std::size_t N = Peers.size();
     if (N > 2) {
       std::size_t Ia = siblingIndex(N);
       std::size_t Ib = siblingIndex(N);
@@ -117,23 +104,18 @@ public:
       // single probe, which the fallback sweep below covers anyway.
       if (Ib == Ia)
         Ib = siblingIndex(N);
-      StealHalfPolicy *A = Registry->Members[Ia];
-      StealHalfPolicy *B = Ib == Ia ? nullptr : Registry->Members[Ib];
+      StealHalfPolicy *A = Peers[Ia];
+      StealHalfPolicy *B = Ib == Ia ? nullptr : Peers[Ib];
       if (A && B && B->Public.size() > A->Public.size())
         std::swap(A, B);
       for (StealHalfPolicy *Victim : {A, B})
-        if (Victim && Victim != this)
+        if (Victim)
           if (Schedulable *Item = stealFrom(*Victim, Vp))
             return Item;
     }
-    for (std::size_t Hop = 1; Hop < N; ++Hop) {
-      StealHalfPolicy *Victim = Members[(VpIndex + Hop) % N];
-      if (!Victim || Victim == this)
-        continue;
-      if (Schedulable *Item = stealFrom(*Victim, Vp))
-        return Item;
-    }
-    return nullptr;
+    return Peers.firstOf([&](StealHalfPolicy &Victim, std::size_t) {
+      return stealFrom(Victim, Vp);
+    });
   }
 
   void drain(VirtualProcessor &,
@@ -149,10 +131,8 @@ public:
       Drop(*Item);
   }
 
-  std::uint64_t StealsPerformed = 0;
-
 private:
-  /// Picks a random registry index other than our own. Requires N > 1.
+  /// Picks a random VP index other than our own. Requires N > 1.
   std::size_t siblingIndex(std::size_t N) {
     std::size_t Pick = StealRng.nextBelow(N - 1);
     if (Pick >= VpIndex)
@@ -197,7 +177,6 @@ private:
     }
     if (Moved == 0)
       return nullptr;
-    ++StealsPerformed;
     Vp.stats().DequeSteals.add(Moved);
     STING_TRACE_EVENT(Migrate, 0,
                       static_cast<std::uint32_t>(
@@ -222,9 +201,8 @@ private:
       Public.pushBottom(Item);
   }
 
-  VirtualMachine *Vm;
   unsigned VpIndex;
-  std::shared_ptr<StealRegistry> Registry;
+  fastpath::Siblings<StealHalfPolicy> Peers;
 
   /// Victim-probe RNG, owner-only (vpIdle runs on the VP's dispatcher).
   /// Seeded from (chaos seed, VP index) so a chaos run's probe sequence is
@@ -245,9 +223,8 @@ private:
 } // namespace
 
 PolicyFactory makeStealHalfPolicy() {
-  auto Registry = std::make_shared<StealRegistry>();
-  return [Registry](VirtualMachine &Vm, unsigned VpIndex) {
-    return std::make_unique<StealHalfPolicy>(Vm, VpIndex, Registry);
+  return [](VirtualMachine &Vm, unsigned VpIndex) {
+    return std::make_unique<StealHalfPolicy>(Vm, VpIndex);
   };
 }
 

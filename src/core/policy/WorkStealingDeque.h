@@ -38,6 +38,11 @@
 /// complete its read (its CAS on Top then decides whether the read
 /// counts). Indices are 64-bit and never wrap in practice.
 ///
+/// A slot holding an unstarted Thread carries a tag in its low pointer bit
+/// (Schedulable is at least 2-aligned), so stealFresh can tell a fresh
+/// thread from a TCB without dereferencing an item it does not own yet.
+/// Every other exit strips the tag.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STING_CORE_POLICY_WORKSTEALINGDEQUE_H
@@ -79,15 +84,18 @@ public:
     }
   }
 
-  /// Owner-only: appends \p Item at the bottom. Lock-free; grows the ring
-  /// when full (amortized O(1), old rings are retired, not freed).
+  /// Owner-only: appends \p Item at the bottom, tagged fresh when it is a
+  /// Thread. Lock-free; grows the ring when full (amortized O(1), old rings
+  /// are retired, not freed).
   void pushBottom(Schedulable &Item) {
     std::int64_t B = Bottom.load(std::memory_order_relaxed);
     std::int64_t T = Top.load(std::memory_order_acquire);
     Ring *A = Buf.load(std::memory_order_relaxed);
     if (B - T > static_cast<std::int64_t>(A->Capacity) - 1)
       A = grow(A, B, T);
-    A->slot(B).store(&Item, std::memory_order_relaxed);
+    A->slot(B).store(reinterpret_cast<Word>(&Item) |
+                         (Item.isThread() ? FreshTag : 0),
+                     std::memory_order_relaxed);
     Bottom.store(B + 1, std::memory_order_release);
   }
 
@@ -104,7 +112,7 @@ public:
       Bottom.store(B + 1, std::memory_order_relaxed);
       return nullptr;
     }
-    Schedulable *X = A->slot(B).load(std::memory_order_relaxed);
+    Schedulable *X = untag(A->slot(B).load(std::memory_order_relaxed));
     if (T == B) {
       // Last element: race a concurrent steal for it.
       if (!Top.compare_exchange_strong(T, T + 1, std::memory_order_seq_cst,
@@ -123,11 +131,38 @@ public:
     if (T >= B)
       return StealResult::Empty;
     Ring *A = Buf.load(std::memory_order_acquire);
-    Schedulable *X = A->slot(T).load(std::memory_order_relaxed);
+    Word X = A->slot(T).load(std::memory_order_relaxed);
     if (!Top.compare_exchange_strong(T, T + 1, std::memory_order_seq_cst,
                                      std::memory_order_relaxed))
       return StealResult::Lost;
-    Out = X;
+    Out = untag(X);
+    return StealResult::Ok;
+  }
+
+  /// Any thread: steal() restricted to an unstarted thread that a previous
+  /// call with the same \p Seen already found at the top. \returns Empty
+  /// when the deque is empty, when the top slot holds a TCB (bound to its
+  /// VP), or when Top moved since that call; in the last case a non-empty
+  /// deque's Top is recorded in \p Seen for the next call. Like steal(),
+  /// the item is not dereferenced before the CAS makes it the caller's.
+  /// \p Seen belongs to one thief; start it at -1.
+  StealResult stealFresh(Schedulable *&Out, std::int64_t &Seen) {
+    std::int64_t T = Top.load(std::memory_order_seq_cst);
+    std::int64_t B = Bottom.load(std::memory_order_seq_cst);
+    if (T >= B)
+      return StealResult::Empty;
+    if (T != Seen) {
+      Seen = T;
+      return StealResult::Empty;
+    }
+    Ring *A = Buf.load(std::memory_order_acquire);
+    Word X = A->slot(T).load(std::memory_order_relaxed);
+    if (!(X & FreshTag))
+      return StealResult::Empty;
+    if (!Top.compare_exchange_strong(T, T + 1, std::memory_order_seq_cst,
+                                     std::memory_order_relaxed))
+      return StealResult::Lost;
+    Out = untag(X);
     return StealResult::Ok;
   }
 
@@ -162,26 +197,35 @@ public:
   }
 
 private:
+  /// A slot's contents: a Schedulable pointer, FreshTag set for a Thread.
+  using Word = std::uintptr_t;
+  static constexpr Word FreshTag = 1;
+  static_assert(alignof(Schedulable) >= 2, "the tag needs a free low bit");
+
+  static Schedulable *untag(Word X) {
+    return reinterpret_cast<Schedulable *>(X & ~FreshTag);
+  }
+
   struct Ring {
     std::size_t Capacity; ///< power of two
     Ring *Prev;           ///< retired predecessor, freed at destruction
     // Slots follow the header in the same allocation.
 
-    std::atomic<Schedulable *> &slot(std::int64_t I) {
-      auto *Slots = reinterpret_cast<std::atomic<Schedulable *> *>(this + 1);
+    std::atomic<Word> &slot(std::int64_t I) {
+      auto *Slots = reinterpret_cast<std::atomic<Word> *>(this + 1);
       return Slots[static_cast<std::size_t>(I) & (Capacity - 1)];
     }
 
     static Ring *alloc(std::size_t Capacity, Ring *Prev) {
-      void *Mem = ::operator new(
-          sizeof(Ring) + Capacity * sizeof(std::atomic<Schedulable *>),
-          std::align_val_t{alignof(Ring)});
+      void *Mem =
+          ::operator new(sizeof(Ring) + Capacity * sizeof(std::atomic<Word>),
+                         std::align_val_t{alignof(Ring)});
       Ring *R = static_cast<Ring *>(Mem);
       R->Capacity = Capacity;
       R->Prev = Prev;
       for (std::size_t I = 0; I != Capacity; ++I)
-        new (reinterpret_cast<std::atomic<Schedulable *> *>(R + 1) + I)
-            std::atomic<Schedulable *>(nullptr);
+        new (reinterpret_cast<std::atomic<Word> *>(R + 1) + I)
+            std::atomic<Word>(0);
       return R;
     }
 
@@ -197,8 +241,9 @@ private:
     return P;
   }
 
-  /// Owner-only: doubles the ring, copying the live window [T, B). The old
-  /// ring stays reachable (chained) for thieves still reading it.
+  /// Owner-only: doubles the ring, copying the live window [T, B) with its
+  /// tags. The old ring stays reachable (chained) for thieves still reading
+  /// it.
   Ring *grow(Ring *Old, std::int64_t B, std::int64_t T) {
     Ring *New = Ring::alloc(Old->Capacity * 2, Old);
     for (std::int64_t I = T; I != B; ++I)

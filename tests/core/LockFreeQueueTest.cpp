@@ -4,7 +4,8 @@
 //
 // The lock-free scheduling fast path (DESIGN.md section 8) in isolation:
 // the Chase-Lev deque (owner ops vs. concurrent thieves, growth under
-// race, the last-element CAS), the MPSC remote mailbox (order, spill,
+// race, the last-element CAS, the fresh-thread tags and the second-sight
+// steal), the MPSC remote mailbox (order, spill,
 // multi-producer conservation, no allocation on post), and the end-to-end
 // no-lost-wakeup property of remote enqueues against parked VPs. The
 // concurrency tests are conservation arguments — every item consumed
@@ -14,10 +15,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/policy/FastPath.h"
 #include "core/policy/RemoteMailbox.h"
 #include "core/policy/WorkStealingDeque.h"
 
 #include "AllocCounter.h"
+#include "core/Thread.h"
 #include "core/VirtualMachine.h"
 #include "gtest/gtest.h"
 
@@ -34,11 +37,14 @@ using namespace sting;
 using sting::testutil::allocsDuring;
 
 /// Minimal concrete Schedulable for queue tests (never dispatched, so the
-/// Thread/Tcb downcasts are never exercised).
+/// Thread/Tcb downcasts are never exercised). The kind only steers the
+/// deque's fresh-thread tag.
 struct Item final : Schedulable {
-  explicit Item(int V = 0) : Schedulable(Kind::Thread), Value(V) {}
+  explicit Item(int V = 0, Kind K = Kind::Thread) : Schedulable(K), Value(V) {}
   int Value;
 };
+
+using SR = WorkStealingDeque::StealResult;
 
 std::vector<std::unique_ptr<Item>> makeItems(int N) {
   std::vector<std::unique_ptr<Item>> Items;
@@ -222,6 +228,190 @@ TEST(DequeTest, LastElementGoesToExactlyOneConsumer) {
     ASSERT_TRUE(D.empty());
   }
   Thief.join();
+}
+
+//===----------------------------------------------------------------------===//
+// Fresh-thread tags and the second-sight steal
+//===----------------------------------------------------------------------===//
+
+TEST(DequeTest, StealFreshTakesOnlyATopItHasSeenBefore) {
+  WorkStealingDeque D;
+  Item A(0), B(1);
+  std::int64_t Seen = -1;
+  Schedulable *Out = nullptr;
+  // An empty deque records nothing.
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty);
+  EXPECT_EQ(Seen, -1);
+
+  D.pushBottom(A);
+  D.pushBottom(B);
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty) << "first sight";
+  EXPECT_EQ(Seen, 0);
+  EXPECT_EQ(D.size(), 2u);
+  ASSERT_EQ(D.stealFresh(Out, Seen), SR::Ok) << "second sight";
+  EXPECT_EQ(Out, &A);
+  // The steal moved Top: B is a new top and needs two sightings of its own.
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty);
+  EXPECT_EQ(Seen, 1);
+  ASSERT_EQ(D.stealFresh(Out, Seen), SR::Ok);
+  EXPECT_EQ(Out, &B);
+  EXPECT_TRUE(D.empty());
+}
+
+TEST(DequeTest, StealFreshRefusesATopTheOwnerTookMeanwhile) {
+  WorkStealingDeque D;
+  Item A(0), B(1);
+  D.pushBottom(A);
+  D.pushBottom(B);
+  std::int64_t Seen = -1;
+  Schedulable *Out = nullptr;
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty);
+  EXPECT_EQ(D.takeTop(), &A); // the owner dispatches between the probes
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty) << "B was never seen";
+  EXPECT_EQ(D.size(), 1u);
+}
+
+TEST(DequeTest, StealFreshNeverReturnsATcb) {
+  WorkStealingDeque D;
+  Item Bound(0, Schedulable::Kind::Tcb), Fresh(1);
+  D.pushBottom(Bound);
+  D.pushBottom(Fresh);
+  std::int64_t Seen = -1;
+  Schedulable *Out = nullptr;
+  for (int Probe = 0; Probe != 4; ++Probe)
+    EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty) << "probe " << Probe;
+  EXPECT_EQ(Out, nullptr);
+  EXPECT_EQ(D.size(), 2u);
+  // Plain steal still takes a TCB, untagged.
+  ASSERT_EQ(D.steal(Out), SR::Ok);
+  EXPECT_EQ(Out, &Bound);
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty);
+  ASSERT_EQ(D.stealFresh(Out, Seen), SR::Ok);
+  EXPECT_EQ(Out, &Fresh);
+}
+
+// Every exit hands back the pointer that went in, tag stripped, for both
+// kinds and across several ring doublings; a tag that survives growth is
+// still honoured by stealFresh.
+TEST(DequeTest, TagsNeverLeakAcrossGrow) {
+  constexpr int N = 200;
+  WorkStealingDeque D(8);
+  std::vector<std::unique_ptr<Item>> Items;
+  for (int I = 0; I != N; ++I)
+    Items.push_back(std::make_unique<Item>(
+        I, I % 3 == 0 ? Schedulable::Kind::Tcb : Schedulable::Kind::Thread));
+
+  std::int64_t Seen = -1;
+  Schedulable *Out = nullptr;
+  D.pushBottom(*Items[1]); // a Thread at the top
+  EXPECT_EQ(D.stealFresh(Out, Seen), SR::Empty);
+  for (int I = 2; I != N; ++I)
+    D.pushBottom(*Items[static_cast<std::size_t>(I)]);
+  D.pushBottom(*Items[0]);
+  EXPECT_GE(D.capacity(), static_cast<std::size_t>(N));
+  ASSERT_EQ(D.stealFresh(Out, Seen), SR::Ok) << "tag lost in growth";
+  EXPECT_EQ(Out, Items[1].get());
+
+  // Order now: 2, 3, ..., N-1, 0.
+  for (int I = 2; I != 40; ++I)
+    ASSERT_EQ(D.takeTop(), Items[static_cast<std::size_t>(I)].get());
+  for (int I = 40; I != 80; ++I) {
+    ASSERT_EQ(D.steal(Out), SR::Ok);
+    ASSERT_EQ(Out, Items[static_cast<std::size_t>(I)].get());
+  }
+  ASSERT_EQ(D.popBottom(), Items[0].get());
+  for (int I = N - 1; I >= 80; --I)
+    ASSERT_EQ(D.popBottom(), Items[static_cast<std::size_t>(I)].get());
+  EXPECT_TRUE(D.empty());
+}
+
+// FastPathQueue::drainAll (the shutdown drain) hands back untagged real
+// threads after the mailbox drain grew the deque.
+TEST(DequeTest, DrainAllUntagsAfterGrowth) {
+  VirtualMachine Vm(VmConfig{.NumVps = 1});
+  VirtualProcessor &Vp = Vm.vp(0);
+  std::vector<ThreadRef> Threads;
+  for (int I = 0; I != 600; ++I)
+    Threads.push_back(
+        Thread::create(Vm, []() -> AnyValue { return AnyValue(); }));
+  {
+    fastpath::FastPathQueue Q;
+    // Off the machine, every enqueue posts to the mailbox; the first
+    // dequeue drains all 600 into the deque (capacity 256) and takes one.
+    for (ThreadRef &T : Threads)
+      Q.enqueue(*T, Vp, EnqueueReason::NewThread);
+    EXPECT_EQ(Q.dequeue(Vp), Threads[0].get());
+    std::vector<Schedulable *> Dropped;
+    Q.drainAll(Vp, [&](Schedulable &S) { Dropped.push_back(&S); });
+    ASSERT_EQ(Dropped.size(), Threads.size() - 1);
+    for (std::size_t I = 0; I != Dropped.size(); ++I)
+      ASSERT_EQ(Dropped[I], Threads[I + 1].get()) << "slot " << I;
+  }
+  Threads.clear();
+}
+
+// Conservation with mixed kinds: an owner pushing and popping at the
+// bottom (and taking from the top), three thieves using only the
+// second-sight steal. Every item comes out exactly once, and no thief ever
+// receives a TCB.
+TEST(DequeTest, OwnerVsStealFreshThievesStress) {
+  constexpr int N = 20000;
+  WorkStealingDeque D(8);
+  std::vector<std::unique_ptr<Item>> Items;
+  for (int I = 0; I != N; ++I)
+    Items.push_back(std::make_unique<Item>(
+        I, I % 4 == 0 ? Schedulable::Kind::Tcb : Schedulable::Kind::Thread));
+
+  std::atomic<bool> Done{false};
+  std::atomic<int> TcbsStolen{0};
+  std::vector<std::vector<int>> Stolen(3);
+  std::vector<std::thread> Thieves;
+  for (int T = 0; T != 3; ++T)
+    Thieves.emplace_back([&, T] {
+      auto &Mine = Stolen[static_cast<std::size_t>(T)];
+      std::int64_t Seen = -1;
+      for (;;) {
+        Schedulable *Out = nullptr;
+        SR R = D.stealFresh(Out, Seen);
+        if (R == SR::Ok) {
+          if (Out->isTcb())
+            TcbsStolen.fetch_add(1, std::memory_order_relaxed);
+          Mine.push_back(static_cast<Item *>(Out)->Value);
+        } else if (Done.load(std::memory_order_acquire)) {
+          return;
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+
+  std::vector<int> Owned;
+  auto Keep = [&](Schedulable *Out) {
+    if (Out)
+      Owned.push_back(static_cast<Item *>(Out)->Value);
+  };
+  for (int I = 0; I != N; ++I) {
+    D.pushBottom(*Items[static_cast<std::size_t>(I)]);
+    if (I % 5 == 0)
+      Keep(D.popBottom());
+    else if (I % 7 == 0)
+      Keep(D.takeTop());
+  }
+  while (Schedulable *Out = D.takeTop())
+    Keep(Out);
+  Done.store(true, std::memory_order_release);
+  for (auto &T : Thieves)
+    T.join();
+
+  EXPECT_TRUE(D.empty());
+  EXPECT_EQ(TcbsStolen.load(), 0);
+  std::vector<int> All = Owned;
+  for (auto &V : Stolen)
+    All.insert(All.end(), V.begin(), V.end());
+  ASSERT_EQ(All.size(), static_cast<std::size_t>(N));
+  std::sort(All.begin(), All.end());
+  for (int I = 0; I != N; ++I)
+    ASSERT_EQ(All[static_cast<std::size_t>(I)], I) << "duplicated or lost";
 }
 
 //===----------------------------------------------------------------------===//

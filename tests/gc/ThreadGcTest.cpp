@@ -52,20 +52,26 @@ TEST(ThreadGcTest, ConcurrentIndependentScavenges) {
   // The headline claim: "threads garbage collect their state independently
   // of one another; no global synchronization is necessary". Workers churn
   // allocation hard enough to force many scavenges each, while verifying
-  // their own live data.
+  // their own live data. A TCB's heap (and its counters) carries over to
+  // the next thread the TCB runs, so each worker counts from its own start:
+  // workers that reuse one TCB after another must not lend each other
+  // scavenges, and workers spread over fresh TCBs must still collect.
   VirtualMachine Vm(VmConfig{.NumVps = 4, .NumPps = 2});
   std::atomic<int> Failures{0};
   std::vector<ThreadRef> Workers;
   for (int W = 0; W != 6; ++W)
     Workers.push_back(Vm.fork([W, &Failures]() -> AnyValue {
       g::LocalHeap &Heap = mutatorHeap();
+      const std::uint64_t Before = Heap.stats().Scavenges;
       g::HandleScope Scope(Heap);
       g::Handle List(Scope, g::Value::nil());
       constexpr int N = 4000;
       for (int I = 0; I != N; ++I) {
         List.set(Heap.cons(g::Value::fixnum(W * N + I), List.get()));
-        // Garbage interleaved to trigger collections.
-        Heap.cons(g::Value::fixnum(I), g::Value::nil());
+        // Garbage interleaved to trigger collections: four pairs per live
+        // one overflow even a fresh young area more than once.
+        for (int K = 0; K != 4; ++K)
+          Heap.cons(g::Value::fixnum(I), g::Value::nil());
       }
       // Verify the whole list.
       g::Value L = List.get();
@@ -76,12 +82,14 @@ TEST(ThreadGcTest, ConcurrentIndependentScavenges) {
         }
         L = g::cdr(L);
       }
-      return AnyValue(Heap.stats().Scavenges);
+      return AnyValue(Heap.stats().Scavenges - Before);
     }));
   std::uint64_t TotalScavenges = 0;
-  for (auto &T : Workers) {
-    T->join();
-    TotalScavenges += T->valueAs<std::uint64_t>();
+  for (std::size_t W = 0; W != Workers.size(); ++W) {
+    Workers[W]->join();
+    const auto Own = Workers[W]->valueAs<std::uint64_t>();
+    EXPECT_GE(Own, 1u) << "worker " << W << " never scavenged its own heap";
+    TotalScavenges += Own;
   }
   EXPECT_EQ(Failures.load(), 0);
   EXPECT_GT(TotalScavenges, 6u) << "workload never scavenged";
