@@ -136,9 +136,12 @@ private:
   X(PoolCheckoutWaits, "pool checkout waits",                                 \
     "sting_pool_checkout_waits_total")                                        \
   /* Tuple space (src/tuple), charged to the depositing VP: deposits        \
-     handed straight to a waiter, threads woken (deliveries + nudges) */     \
+     handed straight to a waiter, threads woken (deliveries + nudges), and  \
+     the handoffs whose waiter was parked on the depositor's own VP lane */ \
   X(TupleHandoffs, "tuple handoffs", "sting_tuple_handoffs_total")            \
   X(TupleWakeups, "tuple wakeups", "sting_tuple_wakeups_total")               \
+  X(TupleLocalHandoffs, "tuple local handoffs",                               \
+    "sting_tuple_local_handoffs_total")                                       \
   /* Sharded router (src/dist), charged to the VP that routed: ops routed   \
      to a home shard, fan-out legs armed, legs retracted while armed, ops   \
      rerouted off an open-breaker shard */                                   \

@@ -33,6 +33,20 @@
 /// — so a payload is either still in storage or in exactly one waiter's
 /// slot, never both and never neither.
 ///
+/// Records sit in per-VP *lanes*: a waiter registers in the lane of the VP
+/// it runs on (VP index % 16), and registrations made off a VP, detached
+/// proxies included, share one extra lane. A producer walks its own lane
+/// first, FIFO, and then the other occupied lanes in rotation, so a
+/// payload goes to a compatible waiter parked on the producer's own VP
+/// when there is one, and its record, slot and later run stay on that
+/// core. That waiter runs once its producer blocks, yields or is
+/// preempted; since a served waiter leaves its lane, a producer that
+/// never yields holds back at most one payload per waiter parked on its
+/// own VP, and waiters in other lanes are still served (DESIGN.md §12.1).
+/// Each lane is one pointer to a circular doubly-linked ring with no
+/// sentinel, and a 32-bit mask marks the occupied ones, so the whole list
+/// is 144 bytes and its first lanes share a line with whatever precedes it.
+///
 /// Wakes happen outside the lock via the ThreadRef that deliver()/nudge()
 /// return; unparkThreadKernel re-validates under the thread's waiter lock,
 /// so a waiter that already resumed (timeout, chaos) absorbs the unpark as
@@ -45,14 +59,14 @@
 
 #include "core/Current.h"
 #include "core/ThreadController.h"
-#include "support/IntrusiveList.h"
+#include "core/VirtualProcessor.h"
+#include "support/Debug.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 
 namespace sting {
-
-struct HandoffWaiterTag;
 
 /// Outcome of one registration episode, written by the waker under the
 /// caller's lock.
@@ -65,34 +79,57 @@ enum class HandoffState : std::uint8_t {
 /// Base for stack-pinned waiter records. Derived types add the template
 /// being waited for and the delivery slot. All fields are guarded by the
 /// lock of the HandoffList the record is registered with.
-class HandoffWaiterBase : public ListNode<HandoffWaiterTag> {
+class HandoffWaiterBase {
 public:
+  HandoffWaiterBase() = default;
+  HandoffWaiterBase(const HandoffWaiterBase &) = delete;
+  HandoffWaiterBase &operator=(const HandoffWaiterBase &) = delete;
+
   HandoffState state() const { return St; }
+  /// True while the registration is armed (linked into its lane).
+  bool isLinked() const { return Next != nullptr; }
+  /// The lane of the record's latest registration; it outlives the unlink.
+  unsigned lane() const { return Lane; }
 
 private:
   template <typename> friend class HandoffList;
 
-  HandoffState St = HandoffState::Armed;
+  HandoffWaiterBase *Prev = nullptr;
+  HandoffWaiterBase *Next = nullptr;
   /// The owner of the TCB that parks on this registration, bound at
   /// enqueue and pinned while linked. Inside a stolen thunk that is the
   /// stealer, not the stolen thread, as for every other waiter kind.
   Thread *Self = nullptr;
+  HandoffState St = HandoffState::Armed;
+  std::uint8_t Lane = 0;
 };
 
-/// An intrusive list of registered waiter records. Every member except
-/// count() and wake() requires the caller to hold the lock that guards
-/// this list (documented contract; the list itself is lock-free storage).
+/// Registered waiter records in per-VP lanes. Every member except
+/// hasWaiters(), callerLane() and wake() requires the caller to hold the
+/// lock that guards this list (documented contract; the list itself is
+/// lock-free storage).
 template <typename WaiterT> class HandoffList {
-  using List = IntrusiveList<HandoffWaiterBase, HandoffWaiterTag>;
+  /// Lanes 0-15 hold waiters registered on VP i % 16, matching the other
+  /// 16-slot per-VP tables; lane 16 holds off-VP and detached ones.
+  static constexpr unsigned NumVpLanes = 16;
+  static constexpr unsigned OffVpLane = NumVpLanes;
 
 public:
-  /// Registers \p W (re-arming it) at the tail; FIFO delivery order.
+  HandoffList() = default;
+  HandoffList(const HandoffList &) = delete;
+  HandoffList &operator=(const HandoffList &) = delete;
+  ~HandoffList() { STING_DCHECK(!hasWaiters(), "destroying armed waiters"); }
+
+  /// The lane the calling thread registers in and visits first.
+  static unsigned callerLane() {
+    VirtualProcessor *Vp = currentVp();
+    return Vp ? Vp->index() % NumVpLanes : OffVpLane;
+  }
+
+  /// Registers \p W (re-arming it) at the tail of the caller's lane.
   void enqueue(WaiterT &W) {
-    W.St = HandoffState::Armed;
     W.Self = currentTcb()->thread();
-    Waiters.pushBack(W);
-    Registered.store(Registered.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
+    link(W, callerLane());
   }
 
   /// Registers \p W without binding it to the calling thread: deliver() and
@@ -101,22 +138,18 @@ public:
   /// remote waiter, where no local thread ever parks on the registration
   /// and completion is observed by whoever owns the record instead.
   void enqueueDetached(WaiterT &W) {
-    W.St = HandoffState::Armed;
     W.Self = nullptr;
-    Waiters.pushBack(W);
-    Registered.store(Registered.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
+    link(W, OffVpLane);
   }
 
-  /// Walks the registered waiters in FIFO order. \p V may deliver() or
+  /// Walks the registered waiters: the caller's lane first, then the other
+  /// occupied lanes in rotation, FIFO within each. \p V may deliver() or
   /// nudge() the record it is handed (both unlink); return false to stop.
   template <typename Visit> void visit(Visit V) {
-    for (auto It = Waiters.begin(); It != Waiters.end();) {
-      WaiterT &W = static_cast<WaiterT &>(*It);
-      ++It; // advance first: V may unlink W
-      if (!V(W))
-        return;
-    }
+    const std::uint32_t Occupied = Mask.load(std::memory_order_relaxed);
+    const std::uint32_t Before = (1u << callerLane()) - 1;
+    if (visitLanes(Occupied & ~Before, V))
+      visitLanes(Occupied & Before, V);
   }
 
   /// Completes \p W's registration with a payload the caller already wrote
@@ -137,13 +170,13 @@ public:
     return W.St;
   }
 
-  /// Racy registration count, readable without the lock. Producers use it
-  /// to skip locking a foreign bin whose waiter list is empty: a waiter
-  /// registering concurrently re-scans *after* enqueuing, so storage
-  /// published before this read is never missed (the structure's lock
-  /// carries the happens-before).
-  std::size_t count() const {
-    return Registered.load(std::memory_order_relaxed);
+  /// Racy "any lane occupied", readable without the lock. Producers use it
+  /// to skip locking a foreign bin with no waiters: a waiter registering
+  /// concurrently re-scans *after* enqueuing, so storage published before
+  /// this read is never missed (the structure's lock carries the
+  /// happens-before).
+  bool hasWaiters() const {
+    return Mask.load(std::memory_order_relaxed) != 0;
   }
 
   /// Unparks a thread captured by deliver()/nudge(); call without locks.
@@ -153,20 +186,67 @@ public:
   }
 
 private:
+  /// Visits the lanes set in \p Lanes in index order; false once \p V
+  /// stops the walk.
+  template <typename Visit> bool visitLanes(std::uint32_t Lanes, Visit &V) {
+    for (; Lanes; Lanes &= Lanes - 1) {
+      HandoffWaiterBase *const *Head = &Heads[std::countr_zero(Lanes)];
+      for (HandoffWaiterBase *W = *Head; W;) {
+        HandoffWaiterBase *Next = W->Next; // read first: V may unlink W
+        const bool Last = Next == *Head;
+        if (!V(static_cast<WaiterT &>(*W)))
+          return false;
+        W = Last ? nullptr : Next;
+      }
+    }
+    return true;
+  }
+
+  void link(HandoffWaiterBase &W, unsigned Lane) {
+    STING_DCHECK(!W.isLinked(), "registering an armed waiter");
+    W.St = HandoffState::Armed;
+    W.Lane = static_cast<std::uint8_t>(Lane);
+    HandoffWaiterBase *&Head = Heads[Lane];
+    if (!(Mask.load(std::memory_order_relaxed) & (1u << Lane))) {
+      W.Prev = W.Next = &W;
+      Head = &W;
+      Mask.store(Mask.load(std::memory_order_relaxed) | (1u << Lane),
+                 std::memory_order_relaxed);
+      return;
+    }
+    W.Prev = Head->Prev;
+    W.Next = Head;
+    Head->Prev->Next = &W;
+    Head->Prev = &W;
+  }
+
+  void unlink(HandoffWaiterBase &W) {
+    HandoffWaiterBase *&Head = Heads[W.Lane];
+    if (W.Next == &W) {
+      Mask.store(Mask.load(std::memory_order_relaxed) & ~(1u << W.Lane),
+                 std::memory_order_relaxed);
+    } else {
+      W.Prev->Next = W.Next;
+      W.Next->Prev = W.Prev;
+      if (Head == &W)
+        Head = W.Next;
+    }
+    W.Prev = W.Next = nullptr;
+  }
+
   ThreadRef complete(WaiterT &W, HandoffState S) {
     unlink(W);
     W.St = S;
     return ThreadRef(W.Self);
   }
 
-  void unlink(WaiterT &W) {
-    List::erase(W);
-    Registered.store(Registered.load(std::memory_order_relaxed) - 1,
-                     std::memory_order_relaxed);
-  }
-
-  List Waiters;
-  std::atomic<std::size_t> Registered{0};
+  /// Bit i set while lane i is non-empty.
+  std::atomic<std::uint32_t> Mask{0};
+  /// Lane i's oldest record, meaningful only while bit i of Mask is set.
+  /// Left uninitialized on purpose: zeroing 136 bytes in each of a space's
+  /// 65 bins made creating a space about 1.7x slower (fig6_baseline
+  /// BM_TupleSpace), and an empty lane's head is never read.
+  HandoffWaiterBase *Heads[NumVpLanes + 1];
 };
 
 } // namespace sting

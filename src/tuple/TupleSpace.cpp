@@ -228,16 +228,19 @@ struct ProxyReg final : TupleWaiter, ListNode<ProxyTag> {
 
 /// One hash bin: a lock, the passive tuples (HP row), and the registered
 /// blocked readers (HB row). Padded so neighboring bins' locks never
-/// share a cache line.
+/// share a cache line. The waiter lanes follow the lock and the count so
+/// that the lane mask and lanes 0-4 share the lock's line: a deposit on
+/// one of the first five VPs finds its own lane on the line it locked.
 struct alignas(64) Bin {
   SpinLock Lock;
-  IntrusiveList<Entry, BinItemTag> Items;
-  HandoffList<TupleWaiter> Waiters;
   /// Racy occupancy gate: scans skip empty bins without locking them.
   /// Updated under Lock; the bin lock carries the happens-before for any
   /// reader that goes on to walk Items.
   std::atomic<std::size_t> EntryCount{0};
+  HandoffList<TupleWaiter> Waiters;
+  IntrusiveList<Entry, BinItemTag> Items;
 };
+static_assert(sizeof(Bin) == 192, "lock, count, 17 lanes and items");
 
 /// Result of matching one entry against a template.
 enum class EntryMatch {
@@ -686,14 +689,16 @@ private:
   /// no broadcast, exactly the matched threads wake.
   void depositDirect(Bin &B, EntryRef E) {
     WakeSet Wakes;
-    std::uint32_t Deliveries = 0;
+    std::uint32_t Deliveries = 0, Local = 0;
     bool Consumed = false;
+    const unsigned Mine = HandoffList<TupleWaiter>::callerLane();
 
     auto Offer = [&](Bin &L) { // caller holds L.Lock
       L.Waiters.visit([&](TupleWaiter &W) {
         if (!waiterAccepts(W, E->Fields))
           return true;
         W.Slot = E;
+        Local += W.lane() == Mine;
         if (W.IsProxy) {
           auto &P = static_cast<ProxyReg &>(W);
           P.retain(); // dropped by finishDeliveredProxy
@@ -714,14 +719,14 @@ private:
     {
       std::lock_guard<SpinLock> Guard(B.Lock);
       Offer(B);
-      if (!Consumed && &B != &Wildcard && Wildcard.Waiters.count() != 0) {
+      if (!Consumed && &B != &Wildcard && Wildcard.Waiters.hasWaiters()) {
         std::lock_guard<SpinLock> WGuard(Wildcard.Lock);
         Offer(Wildcard);
       }
       if (!Consumed)
         publishLocked(B, E);
     }
-    chargeDeposit(Deliveries, Deliveries);
+    chargeDeposit(Deliveries, Deliveries, Local);
     Wakes.fire();
     completeProxies(Wakes);
   }
@@ -757,7 +762,7 @@ private:
       std::lock_guard<SpinLock> Guard(B.Lock);
       publishLocked(B, E);
       NudgeCompatible(B);
-      if (&B != &Wildcard && Wildcard.Waiters.count() != 0) {
+      if (&B != &Wildcard && Wildcard.Waiters.hasWaiters()) {
         std::lock_guard<SpinLock> WGuard(Wildcard.Lock);
         NudgeCompatible(Wildcard);
       }
@@ -768,19 +773,21 @@ private:
       // visited one at a time — never wildcard-then-bin, preserving the
       // bin→wildcard lock order.
       for (Bin &C : Bins) {
-        if (C.Waiters.count() == 0)
+        if (!C.Waiters.hasWaiters())
           continue;
         std::lock_guard<SpinLock> Guard(C.Lock);
         NudgeCompatible(C);
       }
     }
-    chargeDeposit(0, Nudges);
+    chargeDeposit(0, Nudges, 0);
     Wakes.fire();
     completeProxies(Wakes);
   }
 
-  /// Every delivery is also a wake, so \p Deliveries <= \p Wakes.
-  void chargeDeposit(std::uint32_t Deliveries, std::uint32_t Wakes) {
+  /// Every delivery is also a wake, so \p Deliveries <= \p Wakes; \p Local
+  /// of the deliveries went to waiters in the depositor's own lane.
+  void chargeDeposit(std::uint32_t Deliveries, std::uint32_t Wakes,
+                     std::uint32_t Local) {
     if (!Wakes)
       return;
     TupleStatsSlot &S = Stats.local();
@@ -792,6 +799,7 @@ private:
     if (VirtualProcessor *Vp = currentVp()) {
       Vp->stats().TupleHandoffs.add(Deliveries);
       Vp->stats().TupleWakeups.add(Wakes);
+      Vp->stats().TupleLocalHandoffs.add(Local);
     }
   }
 

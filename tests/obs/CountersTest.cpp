@@ -231,6 +231,7 @@ TEST(CountersTest, EveryListedCounterSurvivesEveryPath) {
       {"pool checkout waits", "sting_pool_checkout_waits_total"},
       {"tuple handoffs", "sting_tuple_handoffs_total"},
       {"tuple wakeups", "sting_tuple_wakeups_total"},
+      {"tuple local handoffs", "sting_tuple_local_handoffs_total"},
       {"router routes", "sting_router_routes_total"},
       {"router fanouts", "sting_router_fanouts_total"},
       {"router retracts", "sting_router_retracts_total"},

@@ -7,7 +7,10 @@
 // wakes exactly those threads (counter-asserted, not eyeballed), and the
 // registration/consume/unwind state machine conserves tuples — a take
 // delivery racing a timeout or a terminate is either kept or re-deposited,
-// never dropped and never duplicated.
+// never dropped and never duplicated. The lane tests pin the delivery
+// order (§12.1): a put serves the takers parked on its own VP first, FIFO
+// within a lane, then the other lanes in rotation, and a producer that
+// never yields holds back only the takers on its own VP.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +19,13 @@
 #include "core/Current.h"
 #include "core/ThreadController.h"
 #include "core/VirtualMachine.h"
+#include "core/VirtualProcessor.h"
 #include "gtest/gtest.h"
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 namespace {
 
@@ -31,12 +38,77 @@ Tuple takeAll() {
   return T;
 }
 
+Tuple jobTemplate() { return makeTuple("job", formal(0)); }
+
 /// Spins until \p Ts has seen at least \p N blocking episodes — i.e. N
 /// waiters have registered and are parked or about to park (Blocks is
 /// charged after registration, so deposits past this point hand off).
 void awaitBlocked(const TupleSpaceRef &Ts, std::uint64_t N) {
   while (Ts->stats().Blocks.load(std::memory_order_acquire) < N)
     TC::yieldProcessor();
+}
+
+/// The lane tests' machine: one PP per VP, so a VP runs whenever it has
+/// work and a spinning thread holds back only its own VP.
+constexpr unsigned LaneVps = 4;
+
+/// Forks \p Code on VP \p Index from outside the machine. Not stealable,
+/// so neither an idle VP nor a toucher runs it anywhere else, and it
+/// registers in that VP's lane.
+ThreadRef forkOn(VirtualMachine &Vm, unsigned Index, Thread::Thunk Code) {
+  SpawnOptions Opts;
+  Opts.Vp = &Vm.vp(Index);
+  Opts.Stealable = false;
+  return Vm.fork(std::move(Code), Opts);
+}
+
+/// Waits (outside the machine) until \p Ts has seen \p N blocking
+/// episodes; false after 10 s.
+bool awaitBlockedOutside(const TupleSpaceRef &Ts, std::uint64_t N) {
+  const auto Limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Ts->stats().Blocks.load(std::memory_order_acquire) < N) {
+    if (std::chrono::steady_clock::now() > Limit)
+      return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Per VP, the value its taker was handed (-1: none yet).
+using GotPerVp = std::array<std::atomic<long>, LaneVps>;
+
+void resetGot(GotPerVp &Got) {
+  for (std::atomic<long> &G : Got)
+    G.store(-1);
+}
+
+/// Parks one taker of \p Template() on each VP of \p Order, in that
+/// order, each recording in \p Got what it was handed.
+void parkTakersOn(VirtualMachine &Vm, const TupleSpaceRef &Ts,
+                  std::initializer_list<unsigned> Order, Tuple (*Template)(),
+                  GotPerVp &Got, std::vector<ThreadRef> &Takers) {
+  for (unsigned Vp : Order) {
+    Takers.push_back(forkOn(Vm, Vp, [&Ts, Template, &Got, Vp]() -> AnyValue {
+      EXPECT_EQ(currentVp()->index(), Vp);
+      Match M = Ts->take(Template());
+      Got[Vp].store(M.binding(0).asFixnum());
+      return AnyValue();
+    }));
+    ASSERT_TRUE(awaitBlockedOutside(Ts, Takers.size()));
+  }
+}
+
+/// Forks a producer on VP \p Vp that puts \p Values through \p Make and
+/// waits for it.
+template <typename MakeT>
+void produceOn(VirtualMachine &Vm, unsigned Vp, const TupleSpaceRef &Ts,
+               long Values, MakeT Make) {
+  forkOn(Vm, Vp, [&Ts, Values, Make]() -> AnyValue {
+    for (long V = 0; V != Values; ++V)
+      Ts->put(Make(V));
+    return AnyValue();
+  })->join();
 }
 
 TEST(TupleHandoffTest, PutWakesExactlyOneParkedTaker) {
@@ -246,6 +318,158 @@ TEST(TupleHandoffTest, BagDeliversOnlyToValueCompatibleWaiters) {
     return AnyValue(true);
   });
   EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(TupleHandoffTest, PutPrefersATakerParkedOnItsOwnVp) {
+  VirtualMachine Vm(VmConfig{.NumVps = LaneVps, .NumPps = LaneVps});
+  TupleSpaceRef Ts = TupleSpace::create();
+  GotPerVp Got;
+  resetGot(Got);
+  std::vector<ThreadRef> Takers;
+  // VP 0's taker registers last: one FIFO over the whole bin would hand
+  // the first put to VP 1's.
+  parkTakersOn(Vm, Ts, {1, 2, 3, 0}, jobTemplate, Got, Takers);
+
+  produceOn(Vm, 0, Ts, 4, [](long V) { return makeTuple("job", V); });
+  for (const ThreadRef &T : Takers)
+    T->join();
+
+  // The producer's own lane first, then lanes 1, 2, 3 in rotation.
+  EXPECT_EQ(Got[0].load(), 0);
+  EXPECT_EQ(Got[1].load(), 1);
+  EXPECT_EQ(Got[2].load(), 2);
+  EXPECT_EQ(Got[3].load(), 3);
+  EXPECT_EQ(Ts->stats().Handoffs.load(), 4u);
+  EXPECT_EQ(Ts->size(), 0u);
+  const obs::SchedStatsSnapshot Vp0 = Vm.perVpStats()[0];
+  EXPECT_EQ(Vp0.TupleHandoffs, 4u);
+  EXPECT_EQ(Vp0.TupleLocalHandoffs, 1u);
+}
+
+TEST(TupleHandoffTest, OneLaneDeliversInRegistrationOrder) {
+  VirtualMachine Vm(VmConfig{.NumVps = LaneVps, .NumPps = LaneVps});
+  TupleSpaceRef Ts = TupleSpace::create();
+  constexpr int N = 3;
+  GotPerVp Got; // here indexed by registration order
+  resetGot(Got);
+  std::vector<ThreadRef> Takers;
+  for (int I = 0; I != N; ++I) {
+    Takers.push_back(forkOn(Vm, 1, [&Ts, &Got, I]() -> AnyValue {
+      Got[I].store(Ts->take(makeTuple("job", formal(0))).binding(0).asFixnum());
+      return AnyValue();
+    }));
+    ASSERT_TRUE(awaitBlockedOutside(Ts, I + 1));
+  }
+
+  produceOn(Vm, 1, Ts, N, [](long V) { return makeTuple("job", V); });
+  for (const ThreadRef &T : Takers)
+    T->join();
+
+  for (int I = 0; I != N; ++I)
+    EXPECT_EQ(Got[I].load(), I) << "taker " << I;
+  const obs::SchedStatsSnapshot Vp1 = Vm.perVpStats()[1];
+  EXPECT_EQ(Vp1.TupleLocalHandoffs, static_cast<std::uint64_t>(N));
+}
+
+TEST(TupleHandoffTest, PutsWithNoLocalTakerReachEveryLane) {
+  // A put from a VP whose lane is empty, and one from outside every VP,
+  // serve takers in the other lanes, a registration proxy (the off-VP
+  // lane) included.
+  VirtualMachine Vm(VmConfig{.NumVps = LaneVps, .NumPps = LaneVps});
+  TupleSpaceRef Ts = TupleSpace::create();
+  GotPerVp Got;
+  resetGot(Got);
+  std::vector<ThreadRef> Takers;
+  parkTakersOn(Vm, Ts, {1, 2, 3}, jobTemplate, Got, Takers);
+  std::atomic<long> ProxyGot{-1};
+  ASSERT_TRUE(Ts->registerProxy(
+      7, makeTuple("job", formal(0)), /*Remove=*/true,
+      [&](std::uint64_t, Match M) { ProxyGot.store(M.binding(0).asFixnum()); }));
+
+  // From VP 0: its lane is empty, so the rotation from lane 0 serves
+  // lanes 1 and 2.
+  produceOn(Vm, 0, Ts, 2, [](long V) { return makeTuple("job", V); });
+  // From outside: the off-VP lane (the proxy) first, then lane 3.
+  Ts->put(makeTuple("job", 2));
+  Ts->put(makeTuple("job", 3));
+  for (const ThreadRef &T : Takers)
+    T->join();
+
+  EXPECT_EQ(Got[1].load(), 0);
+  EXPECT_EQ(Got[2].load(), 1);
+  EXPECT_EQ(ProxyGot.load(), 2);
+  EXPECT_EQ(Got[3].load(), 3);
+  EXPECT_EQ(Ts->stats().Handoffs.load(), 4u);
+  EXPECT_EQ(Ts->size(), 0u);
+  EXPECT_FALSE(Ts->retractProxy(7)); // delivered, not armed
+  EXPECT_EQ(Vm.perVpStats()[0].TupleLocalHandoffs, 0u);
+}
+
+TEST(TupleHandoffTest, ABusyProducerDelaysAtMostItsLocalTakers) {
+  // The producer parks one taker on its own VP and three on the others,
+  // puts four tuples and then spins with no controller call. Its own VP
+  // cannot run the local taker, which was handed the first tuple, but the
+  // other three are served and finish meanwhile.
+  VirtualMachine Vm(VmConfig{.NumVps = LaneVps, .NumPps = LaneVps});
+  TupleSpaceRef Ts = TupleSpace::create();
+  std::array<std::atomic<bool>, LaneVps> Done{};
+  GotPerVp Got;
+  resetGot(Got);
+  std::vector<ThreadRef> Takers;
+  for (unsigned Vp : {1u, 2u, 3u, 0u}) {
+    Takers.push_back(forkOn(Vm, Vp, [&Ts, &Done, &Got, Vp]() -> AnyValue {
+      // Timed, so a lost tuple fails the test instead of hanging it.
+      auto M = Ts->takeFor(makeTuple("job", formal(0)), 20'000'000'000);
+      if (M)
+        Got[Vp].store(M->binding(0).asFixnum());
+      Done[Vp].store(true);
+      return AnyValue();
+    }));
+    ASSERT_TRUE(awaitBlockedOutside(Ts, Takers.size()));
+  }
+
+  bool RemotesDone = false, LocalDone = true;
+  forkOn(Vm, 0, [&]() -> AnyValue {
+    for (long V = 0; V != 4; ++V)
+      Ts->put(makeTuple("job", V));
+    const auto Limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!(RemotesDone = Done[1] && Done[2] && Done[3]) &&
+           std::chrono::steady_clock::now() < Limit)
+      ;
+    LocalDone = Done[0];
+    TC::yieldProcessor(); // now the local taker may run
+    return AnyValue();
+  })->join();
+  for (const ThreadRef &T : Takers)
+    T->join();
+
+  EXPECT_TRUE(RemotesDone) << "a spinning producer starved remote takers";
+  EXPECT_FALSE(LocalDone) << "the local taker ran on a busy VP";
+  EXPECT_EQ(Got[0].load(), 0);
+  for (unsigned Vp = 1; Vp != LaneVps; ++Vp)
+    EXPECT_GT(Got[Vp].load(), 0) << "vp " << Vp;
+  EXPECT_EQ(Ts->size(), 0u);
+}
+
+TEST(TupleHandoffTest, QueuePutPrefersATakerParkedOnItsOwnVp) {
+  VirtualMachine Vm(VmConfig{.NumVps = LaneVps, .NumPps = LaneVps});
+  TupleSpaceRef Ts = TupleSpace::create(TupleSpaceRep::Queue);
+  GotPerVp Got;
+  resetGot(Got);
+  std::vector<ThreadRef> Takers;
+  parkTakersOn(Vm, Ts, {1, 2, 3, 0}, takeAll, Got, Takers);
+
+  produceOn(Vm, 0, Ts, 4, [](long V) { return makeTuple(V); });
+  for (const ThreadRef &T : Takers)
+    T->join();
+
+  EXPECT_EQ(Got[0].load(), 0);
+  EXPECT_EQ(Got[1].load(), 1);
+  EXPECT_EQ(Got[2].load(), 2);
+  EXPECT_EQ(Got[3].load(), 3);
+  EXPECT_EQ(Ts->stats().Handoffs.load(), 4u);
+  EXPECT_EQ(Ts->size(), 0u);
 }
 
 } // namespace
